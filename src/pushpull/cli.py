@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from . import io
+from . import __version__, io
 from .core import ValidationError, allocation_value, refine_partition, singletonize
 from .inference import expected_scores, posterior, prior_posterior
 from .metrics import (
@@ -164,7 +164,7 @@ def _io_options(fn):
 
 
 @click.group(name="pushpull")
-@click.version_option(package_name="pushpull", prog_name="pushpull")
+@click.version_option(__version__, prog_name="pushpull")
 def main() -> None:
     """Partition-constrained allocation: solvers, agency metrics, frontiers."""
 
@@ -203,13 +203,13 @@ def gen_cmd(kind, preset_name, seed, objects, blocks, types, signals, discount_k
 
 
 def _oracle_check(instance) -> None:
-    # Exhaustive cross-check of the dispatched solver at the three anchor
-    # weights; any disagreement is a contract breach, not bad input.
+    # Exhaustive cross-check of the strategy auto dispatches to, at the three
+    # anchor weights; any disagreement is a contract breach, not bad input.
     belief = prior_posterior(instance.type_space)
     u_bar = expected_scores(instance, belief, "agent")
     v_bar = expected_scores(instance, belief, "advocate")
     for lam in (0.0, 0.5, 1.0):
-        got = solve(SolveRequest(instance, lam, strategy="subset_dp"))
+        got = solve(SolveRequest(instance, lam))
         scores = combined_scores(lam, u_bar, v_bar)
         reference = brute_force_oracle(
             instance.partition, scores, instance.discount, agent_scores=u_bar
@@ -283,11 +283,10 @@ def solve_cmd(input, lam, strategy, signal, fmt, out, summary):
     else:
         ids = instance.catalog.objects
         block_of = {i: b for b, block in enumerate(instance.partition.blocks) for i in block}
-        lines = ["position,object_id,block_index"]
-        lines.extend(
-            f"{pos},{ids[i]},{block_of[i]}" for pos, i in enumerate(result.allocation.object_order)
+        text = io.csv_table(
+            ("position", "object_id", "block_index"),
+            ((pos, ids[i], block_of[i]) for pos, i in enumerate(result.allocation.object_order)),
         )
-        text = "\n".join(lines) + "\n"
     _emit(text, out)
     _note(
         summary,
@@ -365,19 +364,13 @@ def refine_compare_cmd(input, split_spec, grid, strategy, fmt, out, summary):
             "refine-compare", io.instance_digest(instance), io.refine_payload(comparison)
         )
     else:
-        lines = ["lambda,base_objective,refined_objective,delta"]
-        lines.extend(
-            ",".join(
-                (
-                    io.render_float(p.lam),
-                    io.render_float(p.base_objective),
-                    io.render_float(p.refined_objective),
-                    io.render_float(p.delta),
-                )
-            )
-            for p in comparison.points
+        text = io.csv_table(
+            ("lambda", "base_objective", "refined_objective", "delta"),
+            (
+                [io.render_float(x) for x in (p.lam, p.base_objective, p.refined_objective, p.delta)]
+                for p in comparison.points
+            ),
         )
-        text = "\n".join(lines) + "\n"
     _emit(text, out)
     deltas = [p.delta for p in comparison.points]
     strict = sum(1 for d in deltas if d > 0.0)
@@ -402,12 +395,10 @@ def noise_sweep_cmd(input, epsilons, strategy, fmt, out, summary):
     if fmt == "json":
         text = io.render_report("noise-sweep", io.instance_digest(instance), io.noise_payload(points))
     else:
-        lines = ["epsilon,avg_U1,avg_V0"]
-        lines.extend(
-            f"{io.render_float(p.epsilon)},{io.render_float(p.avg_u1)},{io.render_float(p.avg_v0)}"
-            for p in points
+        text = io.csv_table(
+            ("epsilon", "avg_U1", "avg_V0"),
+            ([io.render_float(x) for x in (p.epsilon, p.avg_u1, p.avg_v0)] for p in points),
         )
-        text = "\n".join(lines) + "\n"
     _emit(text, out)
     _note(
         summary,

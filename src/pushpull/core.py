@@ -32,20 +32,19 @@ __all__ = [
     "Instance",
     "make_discount",
     "build_allocation",
-    "identity_allocation",
     "allocation_value",
     "enumerate_allocations",
     "refine_partition",
     "singletonize",
     "is_refinement",
-    "is_strict_refinement",
     "validate_instance",
 ]
 
 # Tolerance for checking that probability vectors sum to one.
 PROB_TOL = 1e-9
 
-DISCOUNT_KINDS = ("dcg", "cutoff", "geometric", "custom")
+# Each stock discount family and the parameters it takes.
+DISCOUNT_KINDS = {"dcg": (), "cutoff": ("cutoff",), "geometric": ("beta",), "custom": ("weights",)}
 
 
 class ValidationError(ValueError):
@@ -177,6 +176,16 @@ class DiscountCurve:
     __hash__ = None
 
 
+def _discount_param(params: Mapping, name: str, cast):
+    value = params.get(name)
+    if value is None:
+        return None
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"discount: {name} must be numeric, got {value!r}") from None
+
+
 def make_discount(kind: str, horizon: int, **params) -> DiscountCurve:
     """Build one of the stock discount families at a given horizon.
 
@@ -188,31 +197,33 @@ def make_discount(kind: str, horizon: int, **params) -> DiscountCurve:
     horizon = int(horizon)
     if horizon < 1:
         raise ValidationError("discount: horizon must be at least 1")
+    if kind not in DISCOUNT_KINDS:
+        raise ValidationError(f"discount: unknown kind {kind!r}")
+    unknown = sorted(set(params) - set(DISCOUNT_KINDS[kind]))
+    if unknown:
+        raise ValidationError(f"discount: unknown params {', '.join(unknown)} for kind {kind!r}")
     if kind == "dcg":
         weights = 1.0 / np.log2(np.arange(horizon) + 2.0)
         params = {}
     elif kind == "cutoff":
-        cut = params.get("cutoff")
-        if cut is None or int(cut) < 1:
+        cut = _discount_param(params, "cutoff", int)
+        if cut is None or cut < 1:
             raise ValidationError("discount: cutoff must be an integer >= 1")
-        weights = (np.arange(horizon) < int(cut)).astype(float)
-        params = {"cutoff": int(cut)}
+        weights = (np.arange(horizon) < cut).astype(float)
+        params = {"cutoff": cut}
     elif kind == "geometric":
-        beta = params.get("beta")
-        if beta is None or not (0.0 < float(beta) < 1.0):
+        beta = _discount_param(params, "beta", float)
+        if beta is None or not (0.0 < beta < 1.0):
             raise ValidationError("discount: beta must lie strictly inside (0, 1)")
-        weights = float(beta) ** np.arange(horizon)
-        params = {"beta": float(beta)}
-    elif kind == "custom":
-        table = params.get("weights")
-        if table is None:
-            raise ValidationError("discount: custom kind requires a weights table")
-        if len(table) != horizon:
-            raise ValidationError("discount: custom weights must match the horizon")
-        weights = [float(x) for x in table]
-        params = {"weights": tuple(float(x) for x in table)}
+        weights = beta ** np.arange(horizon)
+        params = {"beta": beta}
     else:
-        raise ValidationError(f"discount: unknown kind {kind!r}")
+        weights = _discount_param(params, "weights", lambda table: tuple(float(x) for x in table))
+        if weights is None:
+            raise ValidationError("discount: custom kind requires a weights table")
+        if len(weights) != horizon:
+            raise ValidationError("discount: custom weights must match the horizon")
+        params = {"weights": weights}
     return DiscountCurve(weights=weights, kind=kind, params=params)
 
 
@@ -355,19 +366,14 @@ def validate_instance(instance: Instance) -> None:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A block permutation realized as absolute positions.
+    """A block permutation realized as display positions.
 
     `block_order` lists block indices in display order, `object_order` the
-    catalog indices position by position, and `positions[obj]` the 0-based
-    rank of a catalog index.
+    catalog indices position by position.
     """
 
     block_order: tuple[int, ...]
     object_order: tuple[int, ...]
-    positions: tuple[int, ...]
-
-    def position_of(self, obj_index: int) -> int:
-        return self.positions[obj_index]
 
 
 def build_allocation(partition: Partition, block_order: Sequence[int]) -> Allocation:
@@ -376,14 +382,7 @@ def build_allocation(partition: Partition, block_order: Sequence[int]) -> Alloca
     if sorted(order) != list(range(partition.block_count)):
         raise ValidationError("allocation: block_order must be a permutation of the block indices")
     object_order = tuple(obj for b in order for obj in partition.blocks[b])
-    positions = [0] * partition.size
-    for rank, obj in enumerate(object_order):
-        positions[obj] = rank
-    return Allocation(order, object_order, tuple(positions))
-
-
-def identity_allocation(partition: Partition) -> Allocation:
-    return build_allocation(partition, range(partition.block_count))
+    return Allocation(order, object_order)
 
 
 def allocation_value(allocation: Allocation, scores, discount: DiscountCurve) -> float:
@@ -469,7 +468,3 @@ def is_refinement(old: Partition, new: Partition) -> bool:
             seen.add(nb_idx)
             j += len(nb)
     return len(seen) == new.block_count
-
-
-def is_strict_refinement(old: Partition, new: Partition) -> bool:
-    return is_refinement(old, new) and new.block_count > old.block_count

@@ -56,12 +56,10 @@ __all__ = [
     "file_digest",
     "read_relevance_log",
     "ingest_relevance_log",
+    "csv_table",
     "metrics_csv",
     "frontier_csv",
-    "write_frontier_csv",
-    "read_frontier_csv",
     "user_metrics_csv",
-    "write_user_metrics_csv",
     "read_user_metrics_csv",
     "metrics_payload",
     "solve_payload",
@@ -71,7 +69,6 @@ __all__ = [
     "summary_payload",
     "report_document",
     "render_report",
-    "write_report_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -239,7 +236,10 @@ def _stanza_to_spec(stanza) -> scenarios.ScenarioSpec:
     if discount is not None:
         if not isinstance(discount, Mapping) or "kind" not in discount:
             raise ValidationError("generate: discount must be an object with a kind")
-        discount = (str(discount["kind"]), dict(discount.get("params", {})))
+        params = discount.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValidationError("generate: discount params must be an object")
+        discount = (str(discount["kind"]), dict(params))
     return scenarios.ScenarioSpec(
         kind=str(stanza["kind"]),
         seed=stanza["seed"],
@@ -368,7 +368,7 @@ def load_instance(document) -> Instance:
                 discount = make_discount(str(spec["kind"]), len(catalog), **params)
         except ValidationError as err:
             problems.extend(err.violations)
-        except TypeError:
+        except (TypeError, ValueError):
             problems.append("discount: malformed params")
 
     channel = None
@@ -526,20 +526,21 @@ def _metrics_row(m: AgencyMetrics) -> tuple[str, ...]:
     )
 
 
+def csv_table(header: Sequence[str], rows) -> str:
+    """CSV text with one header line; fields that need quoting get quoted."""
+    buffer = _io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def metrics_csv(points: Sequence[AgencyMetrics]) -> str:
-    lines = [",".join(FRONTIER_HEADER)]
-    lines.extend(",".join(_metrics_row(p)) for p in points)
-    return "\n".join(lines) + "\n"
+    return csv_table(FRONTIER_HEADER, map(_metrics_row, points))
 
 
 def frontier_csv(front: Frontier) -> str:
     return metrics_csv(front.points)
-
-
-def write_frontier_csv(front: Frontier, path) -> str:
-    text = frontier_csv(front)
-    Path(path).write_text(text)
-    return text
 
 
 def _parse_bool(text: str) -> bool:
@@ -550,38 +551,11 @@ def _parse_bool(text: str) -> bool:
     raise ValidationError(f"csv: expected true/false, got {text!r}")
 
 
-def read_frontier_csv(path) -> list[dict]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(FRONTIER_HEADER):
-            raise ValidationError(f"csv: header must be exactly {','.join(FRONTIER_HEADER)}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            record = dict(zip(FRONTIER_HEADER, row))
-            for key in FRONTIER_HEADER[:6]:
-                record[key] = float(record[key])
-            for key in FRONTIER_HEADER[6:]:
-                record[key] = _parse_bool(record[key])
-            rows.append(record)
-    return rows
-
-
 def user_metrics_csv(entries: Sequence[tuple[str, str, AgencyMetrics]]) -> str:
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(USER_METRICS_HEADER)
-    for user_id, group_label, m in entries:
-        writer.writerow((user_id, group_label) + _metrics_row(m))
-    return buffer.getvalue()
-
-
-def write_user_metrics_csv(entries, path) -> str:
-    text = user_metrics_csv(entries)
-    Path(path).write_text(text)
-    return text
+    return csv_table(
+        USER_METRICS_HEADER,
+        ((user_id, group_label) + _metrics_row(m) for user_id, group_label, m in entries),
+    )
 
 
 def read_user_metrics_csv(path) -> list[tuple[str, str, AgencyMetrics]]:
@@ -591,9 +565,13 @@ def read_user_metrics_csv(path) -> list[tuple[str, str, AgencyMetrics]]:
         if header != list(USER_METRICS_HEADER):
             raise ValidationError(f"csv: header must be exactly {','.join(USER_METRICS_HEADER)}")
         out = []
-        for row in reader:
+        for n, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(USER_METRICS_HEADER):
+                raise ValidationError(
+                    f"csv: line {n}: expected {len(USER_METRICS_HEADER)} fields, got {len(row)}"
+                )
             record = dict(zip(USER_METRICS_HEADER, row))
             try:
                 metrics = AgencyMetrics(
@@ -716,9 +694,3 @@ def report_document(kind: str, input_digest: str, payload) -> dict:
 
 def render_report(kind: str, input_digest: str, payload) -> str:
     return canonical_json(report_document(kind, input_digest, payload)) + "\n"
-
-
-def write_report_json(payload, path, kind: str, input_digest: str) -> str:
-    text = render_report(kind, input_digest, payload)
-    Path(path).write_text(text)
-    return text

@@ -141,6 +141,19 @@ def _ratio(numerator: float, denominator: float) -> tuple[float, bool]:
     return numerator / denominator, False
 
 
+def _endpoints(
+    instance: Instance,
+    results: Sequence[SolveResult],
+    posterior: PosteriorModel | None,
+    strategy: str,
+) -> tuple[float, float]:
+    """(U_1, V_0), reusing any of `results` already solved at lambda 1 or 0."""
+    by_lam = {r.lam: r for r in results}
+    top = by_lam.get(1.0) or solve(SolveRequest(instance, 1.0, posterior, strategy))
+    bottom = by_lam.get(0.0) or solve(SolveRequest(instance, 0.0, posterior, strategy))
+    return top.agent_value, bottom.advocate_value
+
+
 def _point(at_lam: SolveResult, u_1: float, v_0: float) -> AgencyMetrics:
     pull, degenerate_pull = _ratio(at_lam.agent_value, u_1)
     push, degenerate_push = _ratio(at_lam.advocate_value, v_0)
@@ -164,11 +177,9 @@ def agency_metrics(
     posterior: PosteriorModel | None = None,
     strategy: str = "auto",
 ) -> AgencyMetrics:
-    """Metrics at a single lambda; solves at lam, 1, and 0."""
+    """Metrics at a single lambda; solves at lam and at whichever of 1 and 0 lam is not."""
     at_lam = solve(SolveRequest(instance, lam, posterior, strategy))
-    top = solve(SolveRequest(instance, 1.0, posterior, strategy))
-    bottom = solve(SolveRequest(instance, 0.0, posterior, strategy))
-    return _point(at_lam, top.agent_value, bottom.advocate_value)
+    return _point(at_lam, *_endpoints(instance, (at_lam,), posterior, strategy))
 
 
 def frontier(
@@ -180,14 +191,7 @@ def frontier(
     """Metrics across a lambda grid; U_1 and V_0 computed once and shared."""
     lams = lambda_grid(*grid)
     results = solve_grid(instance, lams, posterior, strategy)
-    if lams[-1] == 1.0:
-        u_1 = results[-1].agent_value
-    else:
-        u_1 = solve(SolveRequest(instance, 1.0, posterior, strategy)).agent_value
-    if lams[0] == 0.0:
-        v_0 = results[0].advocate_value
-    else:
-        v_0 = solve(SolveRequest(instance, 0.0, posterior, strategy)).advocate_value
+    u_1, v_0 = _endpoints(instance, results, posterior, strategy)
     points = tuple(_point(r, u_1, v_0) for r in results)
     return Frontier(points=points, grid_spec=(float(grid[0]), float(grid[1]), int(grid[2])))
 
@@ -284,11 +288,11 @@ def noise_sweep(
             weight = float(marginal[idx])
             if weight == 0.0:
                 continue
-            belief = posterior(instance.type_space, noisy, signal)
-            top = solve(SolveRequest(instance, 1.0, belief, strategy))
-            bottom = solve(SolveRequest(instance, 0.0, belief, strategy))
-            u_terms.append(weight * top.agent_value)
-            v_terms.append(weight * bottom.advocate_value)
+            u_1, v_0 = _endpoints(
+                instance, (), posterior(instance.type_space, noisy, signal), strategy
+            )
+            u_terms.append(weight * u_1)
+            v_terms.append(weight * v_0)
         points.append(NoisePoint(epsilon=eps, avg_u1=math.fsum(u_terms), avg_v0=math.fsum(v_terms)))
     return tuple(points)
 
@@ -316,19 +320,12 @@ def refine_compare(
         )
         for b, r in zip(base_results, refined_results)
     )
-
-    def endpoint(results, lam, pick):
-        if lam == 1.0 and lams[-1] == 1.0:
-            return pick(results[-1])
-        if lam == 0.0 and lams[0] == 0.0:
-            return pick(results[0])
-        inst = instance if results is base_results else refined
-        return pick(solve(SolveRequest(inst, lam, posterior, strategy)))
-
+    base_u1, base_v0 = _endpoints(instance, base_results, posterior, strategy)
+    refined_u1, refined_v0 = _endpoints(refined, refined_results, posterior, strategy)
     return RefineComparison(
         points=points,
-        base_u1=endpoint(base_results, 1.0, lambda r: r.agent_value),
-        base_v0=endpoint(base_results, 0.0, lambda r: r.advocate_value),
-        refined_u1=endpoint(refined_results, 1.0, lambda r: r.agent_value),
-        refined_v0=endpoint(refined_results, 0.0, lambda r: r.advocate_value),
+        base_u1=base_u1,
+        base_v0=base_v0,
+        refined_u1=refined_u1,
+        refined_v0=refined_v0,
     )

@@ -10,7 +10,6 @@ exactly 1 in floating point; exact-expectation tests rely on that.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -33,10 +32,6 @@ __all__ = [
     "PRESETS",
     "ScenarioSpec",
     "generate",
-    "gen_aligned",
-    "gen_antialigned",
-    "gen_orthogonal",
-    "gen_random",
 ]
 
 KINDS = ("aligned", "anti_aligned", "orthogonal", "random", "preset")
@@ -77,20 +72,30 @@ class ScenarioSpec:
         problems = []
         if self.kind not in KINDS:
             problems.append(f"scenario: unknown kind {self.kind!r}")
-        seed = int(self.seed)
-        object.__setattr__(self, "seed", seed)
-        if not 0 <= seed < 2**64:
-            problems.append("scenario: seed must fit in 64 unsigned bits")
+        try:
+            seed = int(self.seed)
+        except (TypeError, ValueError):
+            problems.append(f"scenario: seed must be an integer, got {self.seed!r}")
+        else:
+            object.__setattr__(self, "seed", seed)
+            if not 0 <= seed < 2**64:
+                problems.append("scenario: seed must fit in 64 unsigned bits")
         if self.preset_name is not None and self.preset_name not in PRESETS:
             problems.append(f"scenario: unknown preset {self.preset_name!r}")
         if self.kind == "preset" and self.preset_name is None:
             problems.append("scenario: kind 'preset' requires preset_name")
         for field in ("objects", "blocks", "types", "signals"):
             value = getattr(self, field)
-            if value is not None:
-                if int(value) < 1:
-                    problems.append(f"scenario: {field} must be positive")
-                object.__setattr__(self, field, int(value))
+            if value is None:
+                continue
+            try:
+                value = int(value)
+            except (TypeError, ValueError):
+                problems.append(f"scenario: {field} must be an integer, got {value!r}")
+                continue
+            if value < 1:
+                problems.append(f"scenario: {field} must be positive")
+            object.__setattr__(self, field, value)
         if self.discount is not None:
             kind, params = self.discount
             object.__setattr__(self, "discount", (str(kind), dict(params)))
@@ -199,18 +204,3 @@ def generate(spec: ScenarioSpec) -> Instance:
         signal_model=channel,
     )
 
-
-def gen_aligned(spec: ScenarioSpec) -> Instance:
-    return generate(dataclasses.replace(spec, kind="aligned"))
-
-
-def gen_antialigned(spec: ScenarioSpec) -> Instance:
-    return generate(dataclasses.replace(spec, kind="anti_aligned"))
-
-
-def gen_orthogonal(spec: ScenarioSpec) -> Instance:
-    return generate(dataclasses.replace(spec, kind="orthogonal"))
-
-
-def gen_random(spec: ScenarioSpec) -> Instance:
-    return generate(dataclasses.replace(spec, kind="random"))

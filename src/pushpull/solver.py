@@ -10,12 +10,19 @@ Tie-break contract, shared by all strategies: among objective maximizers,
 smallest block order. Candidates count as tied when their objectives agree
 within TIE_TOL on a max(1, |scale|) normalization; results carry a
 tie_broken flag whenever that rule fired.
+
+Strategies live in one table keyed by name. Each row pairs a precondition,
+which names why a strategy cannot solve an instance, with an order
+function that solves a whole lambda list at once. `auto` runs the first of
+sort, geometric_index, subset_dp and local_search whose precondition
+holds; solve() is solve_grid() on one lambda.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,10 +46,6 @@ __all__ = [
     "SolveRequest",
     "SolveResult",
     "combined_scores",
-    "solve_singletons",
-    "solve_subset_dp",
-    "solve_geometric_index",
-    "solve_local_search",
     "brute_force_oracle",
     "solve",
     "solve_grid",
@@ -112,12 +115,6 @@ def _checked_scores(scores, size: int, label: str = "scores") -> np.ndarray:
     if not np.isfinite(s).all():
         raise ValidationError(f"{label}: entries must be finite")
     return s
-
-
-def _agent_or_zero(agent_scores, size: int) -> np.ndarray:
-    if agent_scores is None:
-        return np.zeros(size)
-    return _checked_scores(agent_scores, size, "agent_scores")
 
 
 def _tiered_order(primary, secondary) -> tuple[list[int], bool]:
@@ -390,11 +387,6 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
 
 
 def _order_brute(partition: Partition, scores, weights, agent):
-    if partition.block_count > BRUTE_FORCE_LIMIT:
-        raise SolverContractError(
-            f"brute force refuses partitions with more than {BRUTE_FORCE_LIMIT} blocks"
-            f" (got {partition.block_count})"
-        )
     blocks = partition.blocks
     perms = list(itertools.permutations(range(partition.block_count)))
     orders = np.array(
@@ -415,142 +407,138 @@ def _order_brute(partition: Partition, scores, weights, agent):
     return perms[int(tied[0])], tie
 
 
-def _singleton_partition(size: int) -> Partition:
-    return Partition(tuple((i,) for i in range(size)))
-
-
-def solve_singletons(scores, discount: DiscountCurve, *, agent_scores=None) -> Allocation:
-    """Sort rule: descending scores against the weakly decreasing discount."""
-    s = _checked_scores(scores, len(discount))
-    agent = _agent_or_zero(agent_scores, s.size)
-    partition = _singleton_partition(s.size)
-    order, _ = _order_singleton_blocks(partition, s, agent, discount.weights)
-    return build_allocation(partition, order)
-
-
-def solve_subset_dp(
-    partition: Partition,
-    scores,
-    discount: DiscountCurve,
-    *,
-    agent_scores=None,
-    limit: int = DP_SUBSET_LIMIT,
-) -> Allocation:
-    """Exact optimum by dynamic programming over subsets of placed blocks."""
-    if partition.block_count > limit:
-        raise SolverContractError(
-            f"subset DP limited to {limit} blocks (got {partition.block_count});"
-            " use local_search"
-        )
-    s = _checked_scores(scores, partition.size)
-    if len(discount) != partition.size:
-        raise ValidationError("discount: horizon must match the partition size")
-    agent = _agent_or_zero(agent_scores, s.size)
-    contrib = _block_contribs(partition, s, discount.weights)
-    contrib_agent = _block_contribs(partition, agent, discount.weights)
-    [(order, _)] = _dp_orders(partition.block_lengths(), contrib[None, ...], contrib_agent)
-    return build_allocation(partition, order)
-
-
-def solve_geometric_index(partition: Partition, scores, beta: float, *, agent_scores=None) -> Allocation:
-    """Index rule for geometric discounts: sort blocks by r(B) descending."""
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise SolverContractError(
-            f"geometric index rule requires a base strictly inside (0, 1), got {beta!r}"
-        )
-    s = _checked_scores(scores, partition.size)
-    agent = _agent_or_zero(agent_scores, s.size)
-    order, _ = _order_geometric(partition, s, agent, beta)
-    return build_allocation(partition, order)
-
-
-def solve_local_search(
-    partition: Partition,
-    scores,
-    discount: DiscountCurve,
-    seed_order=None,
-    *,
-    agent_scores=None,
-) -> Allocation:
-    """Adjacent-swap local search; exact for singleton partitions."""
-    s = _checked_scores(scores, partition.size)
-    if len(discount) != partition.size:
-        raise ValidationError("discount: horizon must match the partition size")
-    agent = _agent_or_zero(agent_scores, s.size)
-    contrib = _block_contribs(partition, s, discount.weights)
-    contrib_agent = _block_contribs(partition, agent, discount.weights)
-    order, _ = _order_local_search(partition, contrib, contrib_agent, _block_keys(partition, s), seed_order)
-    return build_allocation(partition, order)
-
-
 def brute_force_oracle(partition: Partition, scores, discount: DiscountCurve, *, agent_scores=None) -> Allocation:
     """Exhaustive enumeration of block orders; the ground-truth reference."""
+    refusal = _refuse_brute_force(partition, discount)
+    if refusal is not None:
+        raise SolverContractError(refusal)
     s = _checked_scores(scores, partition.size)
     if len(discount) != partition.size:
         raise ValidationError("discount: horizon must match the partition size")
-    agent = _agent_or_zero(agent_scores, s.size)
+    agent = np.zeros(s.size) if agent_scores is None else _checked_scores(
+        agent_scores, s.size, "agent_scores"
+    )
     order, _ = _order_brute(partition, s, discount.weights, agent)
     return build_allocation(partition, order)
 
 
-def _resolve_strategy(instance: Instance, strategy: str, dp_limit: int) -> str:
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"strategy: unknown strategy {strategy!r}")
-    partition = instance.partition
-    singleton = all(len(b) == 1 for b in partition.blocks)
-    if strategy == "auto":
-        if singleton:
-            return "sort"
-        if instance.discount.kind == "geometric":
-            return "geometric_index"
-        if partition.block_count <= dp_limit:
-            return "subset_dp"
-        return "local_search"
-    if strategy == "sort" and not singleton:
-        raise SolverContractError(
-            "sort handles singleton blocks only; use subset_dp for multi-object blocks"
-        )
-    if strategy == "geometric_index" and instance.discount.kind != "geometric":
-        raise SolverContractError("geometric_index requires a geometric discount curve")
-    if strategy == "subset_dp" and partition.block_count > dp_limit:
-        raise SolverContractError(
-            f"subset DP limited to {dp_limit} blocks (got {partition.block_count});"
+# Preconditions: the SolverContractError message for an instance a strategy
+# cannot solve, or None when it can.
+
+
+def _refuse_sort(partition: Partition, discount: DiscountCurve) -> str | None:
+    if any(len(b) != 1 for b in partition.blocks):
+        return "sort handles singleton blocks only; use subset_dp for multi-object blocks"
+    return None
+
+
+def _refuse_geometric_index(partition: Partition, discount: DiscountCurve) -> str | None:
+    if discount.kind != "geometric":
+        return "geometric_index requires a geometric discount curve"
+    beta = float(discount.params.get("beta", 0.0))
+    if not 0.0 < beta < 1.0:
+        return f"geometric index rule requires a base strictly inside (0, 1), got {beta!r}"
+    return None
+
+
+def _refuse_subset_dp(partition: Partition, discount: DiscountCurve) -> str | None:
+    if partition.block_count > DP_SUBSET_LIMIT:
+        return (
+            f"subset DP limited to {DP_SUBSET_LIMIT} blocks (got {partition.block_count});"
             " use local_search"
         )
-    if strategy == "brute_force" and partition.block_count > BRUTE_FORCE_LIMIT:
-        raise SolverContractError(
+    return None
+
+
+def _refuse_brute_force(partition: Partition, discount: DiscountCurve) -> str | None:
+    if partition.block_count > BRUTE_FORCE_LIMIT:
+        return (
             f"brute force refuses partitions with more than {BRUTE_FORCE_LIMIT} blocks"
             f" (got {partition.block_count})"
         )
-    return strategy
+    return None
 
 
-def _order_for(instance, u_bar, v_bar, lam, resolved, contribs=None):
+# Order functions: one (block order, tie_broken) pair per lambda in lams.
+
+
+def _sort_orders(instance, u_bar, v_bar, lams):
+    weights = instance.discount.weights
+    return [
+        _order_singleton_blocks(instance.partition, combined_scores(lam, u_bar, v_bar), u_bar, weights)
+        for lam in lams
+    ]
+
+
+def _geometric_index_orders(instance, u_bar, v_bar, lams):
+    beta = float(instance.discount.params["beta"])
+    return [
+        _order_geometric(instance.partition, combined_scores(lam, u_bar, v_bar), u_bar, beta)
+        for lam in lams
+    ]
+
+
+def _brute_force_orders(instance, u_bar, v_bar, lams):
+    weights = instance.discount.weights
+    return [
+        _order_brute(instance.partition, combined_scores(lam, u_bar, v_bar), weights, u_bar)
+        for lam in lams
+    ]
+
+
+def _contribs(instance, u_bar, v_bar):
+    weights = instance.discount.weights
+    return (
+        _block_contribs(instance.partition, u_bar, weights),
+        _block_contribs(instance.partition, v_bar, weights),
+    )
+
+
+def _local_search_orders(instance, u_bar, v_bar, lams):
     partition = instance.partition
-    if resolved == "sort":
-        return _order_singleton_blocks(
-            partition, combined_scores(lam, u_bar, v_bar), u_bar, instance.discount.weights
+    contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
+    return [
+        _order_local_search(
+            partition,
+            lam * contrib_u + (1.0 - lam) * contrib_v,
+            contrib_u,
+            _block_keys(partition, combined_scores(lam, u_bar, v_bar)),
+            None,
         )
-    if resolved == "geometric_index":
-        beta = float(instance.discount.params["beta"])
-        return _order_geometric(partition, combined_scores(lam, u_bar, v_bar), u_bar, beta)
-    if resolved == "brute_force":
-        return _order_brute(
-            partition, combined_scores(lam, u_bar, v_bar), instance.discount.weights, u_bar
-        )
-    if contribs is None:
-        contribs = (
-            _block_contribs(partition, u_bar, instance.discount.weights),
-            _block_contribs(partition, v_bar, instance.discount.weights),
-        )
-    contrib_u, contrib_v = contribs
-    contrib_obj = lam * contrib_u + (1.0 - lam) * contrib_v
-    if resolved == "subset_dp":
-        [walked] = _dp_orders(partition.block_lengths(), contrib_obj[None, ...], contrib_u)
-        return walked
-    keys = _block_keys(partition, combined_scores(lam, u_bar, v_bar))
-    return _order_local_search(partition, contrib_obj, contrib_u, keys, None)
+        for lam in lams
+    ]
+
+
+def _subset_dp_orders(instance, u_bar, v_bar, lams):
+    # All lambdas share one vectorized DP, one row each, in chunks that
+    # keep rows * subsets within _DP_CELL_BUDGET.
+    partition = instance.partition
+    contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
+    lengths = partition.block_lengths()
+    chunk = max(1, _DP_CELL_BUDGET >> partition.block_count)
+    out = []
+    for start in range(0, len(lams), chunk):
+        rows = np.array(lams[start : start + chunk])[:, None, None]
+        contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
+        out.extend(_dp_orders(lengths, contrib_obj, contrib_u))
+    return out
+
+
+class _Strategy(NamedTuple):
+    refuse: Callable[[Partition, DiscountCurve], str | None]
+    orders: Callable[..., list]
+
+
+_TABLE = {
+    "sort": _Strategy(_refuse_sort, _sort_orders),
+    "subset_dp": _Strategy(_refuse_subset_dp, _subset_dp_orders),
+    "geometric_index": _Strategy(_refuse_geometric_index, _geometric_index_orders),
+    "local_search": _Strategy(lambda partition, discount: None, _local_search_orders),
+    "brute_force": _Strategy(_refuse_brute_force, _brute_force_orders),
+}
+
+# auto runs the first of these whose precondition holds.
+_AUTO = ("sort", "geometric_index", "subset_dp", "local_search")
 
 
 def _result_for(instance, u_bar, v_bar, lam, order, resolved, tie) -> SolveResult:
@@ -562,16 +550,9 @@ def _result_for(instance, u_bar, v_bar, lam, order, resolved, tie) -> SolveResul
 
 
 def solve(request: SolveRequest) -> SolveResult:
-    """Dispatch to a strategy and evaluate the chosen allocation."""
-    instance = request.instance
-    belief = request.posterior if request.posterior is not None else prior_posterior(
-        instance.type_space
-    )
-    u_bar = expected_scores(instance, belief, "agent")
-    v_bar = expected_scores(instance, belief, "advocate")
-    resolved = _resolve_strategy(instance, request.strategy, DP_SUBSET_LIMIT)
-    order, tie = _order_for(instance, u_bar, v_bar, request.lam, resolved)
-    return _result_for(instance, u_bar, v_bar, request.lam, order, resolved, tie)
+    """Solve one instance at one lambda: solve_grid on a one-point grid."""
+    [result] = solve_grid(request.instance, [request.lam], request.posterior, request.strategy)
+    return result
 
 
 def solve_grid(
@@ -579,48 +560,30 @@ def solve_grid(
     lambdas,
     posterior: PosteriorModel | None = None,
     strategy: str = "auto",
-    dp_limit: int = DP_SUBSET_LIMIT,
 ) -> tuple[SolveResult, ...]:
     """Solve one instance across many lambda values.
 
-    The subset-DP path batches all rows through a single vectorized DP, and
-    produces bit-identical results to per-lambda solve() calls.
+    Each result equals the solve() at its lambda bit for bit; the subset-DP
+    strategy batches all rows through a single vectorized DP.
     """
     lams = [float(l) for l in lambdas]
     for l in lams:
-        if not np.isfinite(l) or not 0.0 <= l <= 1.0:
+        if not 0.0 <= l <= 1.0:
             raise ValidationError(f"lambda: must lie in [0, 1], got {l!r}")
     belief = posterior if posterior is not None else prior_posterior(instance.type_space)
     u_bar = expected_scores(instance, belief, "agent")
     v_bar = expected_scores(instance, belief, "advocate")
-    resolved = _resolve_strategy(instance, strategy, dp_limit)
-    partition = instance.partition
-    if resolved != "subset_dp":
-        contribs = None
-        if resolved == "local_search":
-            contribs = (
-                _block_contribs(partition, u_bar, instance.discount.weights),
-                _block_contribs(partition, v_bar, instance.discount.weights),
-            )
-        results = []
-        for lam in lams:
-            order, tie = _order_for(instance, u_bar, v_bar, lam, resolved, contribs)
-            results.append(_result_for(instance, u_bar, v_bar, lam, order, resolved, tie))
-        return tuple(results)
-    contrib_u = _block_contribs(partition, u_bar, instance.discount.weights)
-    contrib_v = _block_contribs(partition, v_bar, instance.discount.weights)
-    lengths = partition.block_lengths()
-    chunk = max(1, _DP_CELL_BUDGET >> partition.block_count)
-    results = []
-    for start in range(0, len(lams), chunk):
-        part_lams = np.array(lams[start : start + chunk])
-        contrib_obj = (
-            part_lams[:, None, None] * contrib_u + (1.0 - part_lams)[:, None, None] * contrib_v
-        )
-        for lam, (order, tie) in zip(
-            part_lams, _dp_orders(lengths, contrib_obj, contrib_u)
-        ):
-            results.append(
-                _result_for(instance, u_bar, v_bar, float(lam), order, resolved, tie)
-            )
-    return tuple(results)
+    partition, discount = instance.partition, instance.discount
+    if strategy == "auto":
+        strategy = next(s for s in _AUTO if _TABLE[s].refuse(partition, discount) is None)
+    elif strategy not in _TABLE:
+        raise ValidationError(f"strategy: unknown strategy {strategy!r}")
+    else:
+        refusal = _TABLE[strategy].refuse(partition, discount)
+        if refusal is not None:
+            raise SolverContractError(refusal)
+    orders = _TABLE[strategy].orders(instance, u_bar, v_bar, lams)
+    return tuple(
+        _result_for(instance, u_bar, v_bar, lam, order, strategy, tie)
+        for lam, (order, tie) in zip(lams, orders)
+    )

@@ -9,20 +9,15 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 import pushpull as pp
 from pushpull import io
-from pushpull.solver import (
-    brute_force_oracle,
-    combined_scores,
-    solve_geometric_index,
-    solve_singletons,
-    solve_subset_dp,
-)
+from pushpull.solver import brute_force_oracle, combined_scores
 
-from helpers import random_partition
+from helpers import make_instance, random_partition
 
 LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 BETAS = (0.3, 0.5, 0.9)
@@ -85,7 +80,8 @@ def test_criterion_01_subset_dp_equals_brute_force():
         v = rng.random(m) * 10
         lam = LAMBDAS[seed % len(LAMBDAS)]
         scores = combined_scores(lam, u, v)
-        got = solve_subset_dp(part, scores, discount, agent_scores=u)
+        inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=discount)
+        got = pp.solve(pp.SolveRequest(inst, lam, strategy="subset_dp")).allocation
         want = brute_force_oracle(part, scores, discount, agent_scores=u)
         gv = pp.allocation_value(got, scores, discount)
         wv = pp.allocation_value(want, scores, discount)
@@ -112,7 +108,8 @@ def test_criterion_02_sort_rule_equals_brute_force():
         v = rng.random(m) * 10
         lam = LAMBDAS[seed % len(LAMBDAS)]
         scores = combined_scores(lam, u, v)
-        got = solve_singletons(scores, discount, agent_scores=u)
+        inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=discount)
+        got = pp.solve(pp.SolveRequest(inst, lam, strategy="sort")).allocation
         want = brute_force_oracle(part, scores, discount, agent_scores=u)
         gv = pp.allocation_value(got, scores, discount)
         wv = pp.allocation_value(want, scores, discount)
@@ -137,8 +134,12 @@ def test_criterion_03_geometric_index_equals_dp():
         part = random_partition(rng, m, k)
         discount = pp.make_discount("geometric", m, beta=beta)
         scores = rng.random(m) * 10
-        got = solve_geometric_index(part, scores, beta)
-        want = solve_subset_dp(part, scores, discount)
+        # agent 0 and advocate `scores` at lambda 0: the objective is `scores` alone
+        inst = make_instance(
+            agent=[np.zeros(m)], advocate=[scores], blocks=part.blocks, discount=discount
+        )
+        got = pp.solve(pp.SolveRequest(inst, 0.0, strategy="geometric_index")).allocation
+        want = pp.solve(pp.SolveRequest(inst, 0.0, strategy="subset_dp")).allocation
         gv = pp.allocation_value(got, scores, discount)
         wv = pp.allocation_value(want, scores, discount)
         if not _rel_close(gv, wv):
@@ -205,13 +206,13 @@ def test_criterion_06_alignment_regimes():
             kind="random", seed=40_000 + s, objects=6 + s % 5, blocks=2 + s % 4,
             types=2 + s % 3, signals=2,
         )
-        aligned = pp.frontier(pp.gen_aligned(spec), (0.0, 1.0, 101))
+        aligned = pp.frontier(pp.generate(replace(spec, kind="aligned")), (0.0, 1.0, 101))
         if not all(p.pull == 1.0 and p.push == 1.0 for p in aligned.points):
             problems.append(f"aligned seed {s}")
-        orthogonal = pp.frontier(pp.gen_orthogonal(spec), (0.0, 1.0, 101))
+        orthogonal = pp.frontier(pp.generate(replace(spec, kind="orthogonal")), (0.0, 1.0, 101))
         if not all(p.pull == 1.0 and p.push == 1.0 for p in orthogonal.points[1:-1]):
             problems.append(f"orthogonal seed {s}")
-        anti = pp.frontier(pp.gen_antialigned(spec), (0.0, 1.0, 101))
+        anti = pp.frontier(pp.generate(replace(spec, kind="anti_aligned")), (0.0, 1.0, 101))
         crit = pp.critical_lambda(anti)
         if crit is None or abs(crit - 0.5) > 0.01 + 1e-12:
             problems.append(f"anti critical seed {s}: {crit}")

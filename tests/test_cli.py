@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from pushpull import __version__, solver
 from pushpull.cli import main
 
 E1_DOC = {
@@ -237,3 +239,79 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     for name in ("gen", "validate", "solve", "frontier", "metrics", "refine-compare", "noise-sweep", "ingest", "aggregate"):
         assert name in proc.stdout
+
+
+def test_version_runs_from_source(runner):
+    out = runner.invoke(main, ["--version"])
+    assert out.exit_code == 0, out.output
+    assert out.output == f"pushpull, version {__version__}\n"
+
+
+def test_solve_csv_quotes_ids_that_need_it(runner, tmp_path):
+    doc = dict(E1_DOC)
+    ids = ["a,b", 'say "hi"', "o2"]
+    doc["catalog"] = ids
+    doc["partition"] = [[i] for i in ids]
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc))
+    out = runner.invoke(main, ["solve", str(path), "--lambda", "1", "--format", "csv"])
+    assert out.exit_code == 0, out.output
+    rows = list(csv.reader(out.stdout.splitlines()))
+    assert rows == [
+        ["position", "object_id", "block_index"],
+        ["0", "a,b", "0"],
+        ["1", "o2", "2"],
+        ["2", 'say "hi"', "1"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "document, violation",
+    [
+        ({"generate": {"kind": "random", "seed": "abc"}}, "seed"),
+        ({"generate": {"kind": "random", "seed": 1, "objects": "x"}}, "objects"),
+        (
+            {"generate": {"kind": "random", "seed": 1, "discount": {"kind": "cutoff", "params": {"cutoff": "abc"}}}},
+            "cutoff",
+        ),
+        (
+            {"generate": {"kind": "random", "seed": 1, "discount": {"kind": "geometric", "params": {"beta": 0.5, "bogus": 1}}}},
+            "bogus",
+        ),
+        ({"generate": {"kind": "random", "seed": 1, "discount": {"kind": "dcg", "params": "x"}}}, "params"),
+        ({**E1_DOC, "discount": {"kind": "cutoff", "params": {"cutoff": "abc"}}}, "cutoff"),
+        ({**E1_DOC, "discount": {"kind": "dcg", "params": "x"}}, "params"),
+    ],
+    ids=[
+        "generate-seed", "generate-objects", "generate-cutoff", "generate-unknown-param",
+        "generate-params-not-object", "explicit-cutoff", "explicit-params-not-object",
+    ],
+)
+def test_validate_reports_bad_instance_fields(runner, tmp_path, document, violation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": 1, **document}))
+    out = runner.invoke(main, ["validate", str(path)])
+    assert out.exit_code == 2, out.output
+    [record] = json.loads(out.stdout)["report"]["files"]
+    assert any(violation in v for v in record["violations"]), record
+
+
+def test_aggregate_short_row_exits_2_naming_the_line(runner, tmp_path):
+    users_csv = tmp_path / "users.csv"
+    header = "user_id,group_label,lambda,U_lambda,V_lambda,P_lambda,pull,push,degenerate_pull,degenerate_push"
+    users_csv.write_text(f"{header}\nu0,g0,0.5,2.5,4,6.5,0.625,1,false,false\nu1,g0,0.5\n")
+    out = runner.invoke(main, ["aggregate", str(users_csv)])
+    assert out.exit_code == 2, out.output
+    assert "line 3" in out.stderr
+
+
+def test_validate_oracle_checks_the_strategy_auto_ships(runner, e1_path, monkeypatch):
+    # e1 has singleton blocks, so auto solves it with the sort rule; a broken
+    # sort must be caught even though subset_dp would still agree with brute force.
+    def reversed_sort(partition, scores, agent, weights):
+        return tuple(reversed(range(partition.block_count))), False
+
+    monkeypatch.setattr(solver, "_order_singleton_blocks", reversed_sort)
+    out = runner.invoke(main, ["validate", e1_path])
+    assert out.exit_code == 3, out.output
+    assert "oracle mismatch" in out.stderr

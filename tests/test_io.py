@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -130,15 +131,16 @@ def test_frontier_csv_header_and_shape():
     assert lines[3].startswith("1,")
 
 
-def test_frontier_csv_round_trip(tmp_path):
+def test_frontier_csv_round_trip():
     front = pp.frontier(e1_instance(), (0.0, 1.0, 5))
-    path = tmp_path / "front.csv"
-    io.write_frontier_csv(front, path)
-    rows = io.read_frontier_csv(path)
+    header, *rows = csv.reader(io.frontier_csv(front).splitlines())
+    assert tuple(header) == io.FRONTIER_HEADER
+    rows = [dict(zip(header, row)) for row in rows]
     assert len(rows) == 5
-    assert rows[0]["push"] == 1.0
-    assert rows[-1]["pull"] == 1.0
-    assert rows[2]["pull"] == 0.625
+    assert float(rows[0]["push"]) == 1.0
+    assert float(rows[-1]["pull"]) == 1.0
+    assert float(rows[2]["pull"]) == 0.625
+    assert rows[2]["degenerate_pull"] == "false"
 
 
 def test_frontier_csv_bytes_are_deterministic(tmp_path):
@@ -226,7 +228,7 @@ def test_relevance_log_rejects_wrong_header(tmp_path):
 def test_user_metrics_csv_round_trip(tmp_path):
     m = pp.agency_metrics(e1_instance(), 0.5)
     path = tmp_path / "users.csv"
-    io.write_user_metrics_csv([("u1", "A", m), ("u2", "B", m)], path)
+    path.write_text(io.user_metrics_csv([("u1", "A", m), ("u2", "B", m)]))
     entries = io.read_user_metrics_csv(path)
     assert [(uid, label) for uid, label, _ in entries] == [("u1", "A"), ("u2", "B")]
     assert entries[0][2].pull == 0.625

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,13 +115,12 @@ def test_spec_validates_dims_and_kind():
 
 def test_kind_helpers_rewrite_kind():
     spec = pp.ScenarioSpec(kind="random", seed=8, objects=6, blocks=2, types=2, signals=2)
-    assert pp.gen_aligned(spec).utilities.agent is not None
-    aligned = pp.gen_aligned(spec)
+    aligned = pp.generate(dataclasses.replace(spec, kind="aligned"))
     assert np.array_equal(aligned.utilities.agent, aligned.utilities.advocate)
-    anti = pp.gen_antialigned(spec)
+    anti = pp.generate(dataclasses.replace(spec, kind="anti_aligned"))
     total = anti.utilities.agent + anti.utilities.advocate
     assert np.allclose(total, total.flat[0])
-    orth = pp.gen_orthogonal(spec)
+    orth = pp.generate(dataclasses.replace(spec, kind="orthogonal"))
     assert np.all(orth.utilities.agent[0] == orth.utilities.agent[0][0])
 
 

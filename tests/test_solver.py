@@ -4,16 +4,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushpull as pp
-from pushpull.solver import (
-    brute_force_oracle,
-    combined_scores,
-    solve_geometric_index,
-    solve_local_search,
-    solve_singletons,
-    solve_subset_dp,
-)
+from pushpull import solver
+from pushpull.solver import brute_force_oracle, combined_scores
 
 from helpers import e1_instance, make_instance, random_discount, random_partition
+
+
+def _solve(scores, discount, blocks=None, strategy="auto"):
+    """Allocation maximizing `scores` with no agent-value tier.
+
+    One type with agent scores 0 and advocate scores `scores`, solved at
+    lambda 0, so the combined scores equal `scores` exactly.
+    """
+    if blocks is None:
+        blocks = tuple((i,) for i in range(len(scores)))
+    inst = make_instance(
+        agent=[[0.0] * len(scores)], advocate=[list(scores)], blocks=blocks, discount=discount
+    )
+    return pp.solve(pp.SolveRequest(inst, 0.0, strategy=strategy)).allocation
+
+
+def _seeded_local_search(part, scores, discount, seed_order):
+    """Local search from a given block order; solve() always seeds with the identity."""
+    s = np.asarray(scores, dtype=float)
+    contrib = solver._block_contribs(part, s, discount.weights)
+    contrib_agent = solver._block_contribs(part, np.zeros(s.size), discount.weights)
+    keys = solver._block_keys(part, s)
+    order, _ = solver._order_local_search(part, contrib, contrib_agent, keys, seed_order)
+    return pp.build_allocation(part, order)
 
 
 def test_combined_scores_blend():
@@ -29,21 +47,21 @@ def test_combined_scores_endpoints():
 
 def test_solve_singletons_example():
     d = pp.make_discount("custom", 3, weights=(1, 0.5, 0))
-    alloc = solve_singletons([3, 1, 2], d)
+    alloc = _solve([3, 1, 2], d, strategy="sort")
     assert alloc.object_order == (0, 2, 1)
     assert pp.allocation_value(alloc, [3, 1, 2], d) == 4.0
 
 
 def test_solve_singletons_all_equal_keeps_identity():
     d = pp.make_discount("dcg", 4)
-    alloc = solve_singletons([2, 2, 2, 2], d)
+    alloc = _solve([2, 2, 2, 2], d, strategy="sort")
     assert alloc.object_order == (0, 1, 2, 3)
 
 
 def test_solve_singletons_flat_discount_collapses_to_identity():
     # every order ties on value and agent value, so the lex step owns it all
     d = pp.make_discount("custom", 3, weights=(1, 1, 1))
-    alloc = solve_singletons([1, 3, 3], d)
+    alloc = _solve([1, 3, 3], d, strategy="sort")
     assert alloc.object_order == (0, 1, 2)
 
 
@@ -51,7 +69,7 @@ def test_solve_singletons_cutoff_plateau_matches_brute_force():
     d = pp.make_discount("cutoff", 4, cutoff=2)
     scores = np.array([1.0, 9.0, 8.0, 2.0])
     part = pp.Partition(tuple((i,) for i in range(4)))
-    alloc = solve_singletons(scores, d)
+    alloc = _solve(scores, d, strategy="sort")
     want = brute_force_oracle(part, scores, d)
     assert alloc.object_order == want.object_order == (1, 2, 0, 3)
 
@@ -59,7 +77,7 @@ def test_solve_singletons_cutoff_plateau_matches_brute_force():
 def test_subset_dp_example():
     part = pp.Partition(((0, 1), (2,)))
     d = pp.make_discount("custom", 3, weights=(1, 0.5, 0.25))
-    alloc = solve_subset_dp(part, [0, 5, 3], d)
+    alloc = _solve([0, 5, 3], d, part.blocks, "subset_dp")
     assert alloc.block_order == (1, 0)
     assert pp.allocation_value(alloc, [0, 5, 3], d) == 4.25
 
@@ -67,7 +85,7 @@ def test_subset_dp_example():
 def test_subset_dp_single_block_is_identity():
     part = pp.Partition(((2, 0, 1),))
     d = pp.make_discount("dcg", 3)
-    alloc = solve_subset_dp(part, [1, 2, 3], d)
+    alloc = _solve([1, 2, 3], d, part.blocks, "subset_dp")
     assert alloc.object_order == (2, 0, 1)
 
 
@@ -77,32 +95,31 @@ def test_subset_dp_matches_sort_on_singletons():
         m = int(rng.integers(2, 8))
         scores = rng.random(m) * 10
         d = random_discount(rng, m)
-        part = pp.Partition(tuple((i,) for i in range(m)))
-        a = solve_subset_dp(part, scores, d)
-        b = solve_singletons(scores, d)
+        a = _solve(scores, d, strategy="subset_dp")
+        b = _solve(scores, d, strategy="sort")
         assert a.object_order == b.object_order
 
 
 def test_subset_dp_respects_limit():
-    part = pp.Partition(tuple((i,) for i in range(5)))
-    d = pp.make_discount("dcg", 5)
+    m = pp.DP_SUBSET_LIMIT + 1
+    d = pp.make_discount("dcg", m)
     with pytest.raises(pp.SolverContractError) as err:
-        solve_subset_dp(part, [1, 2, 3, 4, 5], d, limit=4)
+        _solve(list(range(m)), d, strategy="subset_dp")
     assert "local_search" in str(err.value)
 
 
 def test_geometric_index_example():
     part = pp.Partition(((0,), (1, 2)))
-    alloc = solve_geometric_index(part, [4, 0, 9], 0.5)
-    assert alloc.block_order == (0, 1)
     d = pp.make_discount("geometric", 3, beta=0.5)
+    alloc = _solve([4, 0, 9], d, part.blocks, "geometric_index")
+    assert alloc.block_order == (0, 1)
     assert pp.allocation_value(alloc, [4, 0, 9], d) == 6.25
 
 
 def test_geometric_index_equal_scores_any_order_same_value():
     part = pp.Partition(((0,), (1,)))
     d = pp.make_discount("geometric", 2, beta=0.3)
-    alloc = solve_geometric_index(part, [2, 2], 0.3)
+    alloc = _solve([2, 2], d, part.blocks, "geometric_index")
     assert pp.allocation_value(alloc, [2, 2], d) == pp.allocation_value(
         pp.build_allocation(part, (1, 0)), [2, 2], d
     )
@@ -117,24 +134,25 @@ def test_geometric_index_matches_dp():
             part = random_partition(rng, m, k)
             scores = rng.random(m) * 10
             d = pp.make_discount("geometric", m, beta=beta)
-            a = solve_geometric_index(part, scores, beta)
-            b = solve_subset_dp(part, scores, d)
+            a = _solve(scores, d, part.blocks, "geometric_index")
+            b = _solve(scores, d, part.blocks, "subset_dp")
             va = pp.allocation_value(a, scores, d)
             vb = pp.allocation_value(b, scores, d)
             assert abs(va - vb) <= 1e-9 * max(1.0, abs(vb))
 
 
 def test_geometric_index_rejects_bad_beta():
-    part = pp.Partition(((0,), (1,)))
+    # make_discount refuses such a base; a hand-built curve can still carry one
+    d = pp.DiscountCurve(weights=(1.0, 1.0), kind="geometric", params={"beta": 1.0})
     with pytest.raises(pp.SolverContractError):
-        solve_geometric_index(part, [1, 2], 1.0)
+        _solve([1, 2], d, strategy="geometric_index")
 
 
 def test_local_search_fixed_point_at_canonical_optimum():
     part = pp.Partition(((0,), (1,), (2,)))
     d = pp.make_discount("custom", 3, weights=(1, 0.5, 0))
-    best = solve_singletons([3, 1, 2], d)
-    again = solve_local_search(part, [3, 1, 2], d, seed_order=best.block_order)
+    best = _solve([3, 1, 2], d, strategy="sort")
+    again = _seeded_local_search(part, [3, 1, 2], d, best.block_order)
     assert again.block_order == best.block_order
 
 
@@ -148,7 +166,7 @@ def test_local_search_objective_never_below_seed():
         d = random_discount(rng, m)
         seed = tuple(int(x) for x in rng.permutation(k))
         seeded = pp.build_allocation(part, seed)
-        out = solve_local_search(part, scores, d, seed_order=seed)
+        out = _seeded_local_search(part, scores, d, seed)
         assert pp.allocation_value(out, scores, d) >= pp.allocation_value(
             seeded, scores, d
         ) - 1e-12
@@ -166,8 +184,8 @@ def test_local_search_singletons_reach_sort_value_any_seed():
             d = random_discount(rng, m)
         part = pp.Partition(tuple((i,) for i in range(m)))
         seed = tuple(int(x) for x in rng.permutation(m))
-        got = solve_local_search(part, scores, d, seed_order=seed)
-        want = solve_singletons(scores, d)
+        got = _seeded_local_search(part, scores, d, seed)
+        want = _solve(scores, d, strategy="sort")
         gv = pp.allocation_value(got, scores, d)
         wv = pp.allocation_value(want, scores, d)
         assert abs(gv - wv) <= 1e-9 * max(1.0, abs(wv))
@@ -175,9 +193,8 @@ def test_local_search_singletons_reach_sort_value_any_seed():
 
 def test_local_search_plateau_traversal_example():
     # (1,0.5,0.5): identity seed must cross the flat tail to reach 4.5
-    part = pp.Partition(((0,), (1,), (2,)))
     d = pp.make_discount("custom", 3, weights=(1, 0.5, 0.5))
-    out = solve_local_search(part, [1, 2, 3], d)
+    out = _solve([1, 2, 3], d, strategy="local_search")
     assert pp.allocation_value(out, [1, 2, 3], d) == 4.5
 
 
@@ -190,8 +207,8 @@ def test_local_search_gap_to_dp_is_measured_not_assumed():
         part = random_partition(rng, m, k)
         scores = rng.random(m) * 5
         d = random_discount(rng, m)
-        ls = solve_local_search(part, scores, d)
-        dp = solve_subset_dp(part, scores, d)
+        ls = _solve(scores, d, part.blocks, "local_search")
+        dp = _solve(scores, d, part.blocks, "subset_dp")
         gap = pp.allocation_value(dp, scores, d) - pp.allocation_value(ls, scores, d)
         assert gap >= -1e-12
         gaps.append(gap)
@@ -337,15 +354,16 @@ def test_solve_grid_matches_single_solves_bitwise():
         assert g.tie_broken == s.tie_broken
 
 
-def test_solve_grid_respects_dp_limit_override():
+def test_solve_grid_refuses_subset_dp_above_limit():
+    m = pp.DP_SUBSET_LIMIT + 1
     inst = make_instance(
-        agent=[[1, 2, 3, 4]],
-        advocate=[[4, 3, 2, 1]],
-        blocks=((0,), (1,), (2,), (3,)),
-        weights=(1, 0.9, 0.5, 0.1),
+        agent=[list(range(m))],
+        advocate=[list(reversed(range(m)))],
+        blocks=tuple((i,) for i in range(m)),
+        discount=pp.make_discount("dcg", m),
     )
     with pytest.raises(pp.SolverContractError):
-        pp.solve_grid(inst, [0.5], strategy="subset_dp", dp_limit=3)
+        pp.solve_grid(inst, [0.0, 0.5], strategy="subset_dp")
 
 
 @given(st.integers(0, 5_000), st.integers(0, 4))
@@ -360,9 +378,40 @@ def test_dp_equals_brute_force_property(seed, lam_ix):
     u = rng.random(m) * 10
     v = rng.random(m) * 10
     scores = combined_scores(lam, u, v)
-    a = solve_subset_dp(part, scores, d, agent_scores=u)
+    inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=d)
+    a = pp.solve(pp.SolveRequest(inst, lam, strategy="subset_dp")).allocation
     b = brute_force_oracle(part, scores, d, agent_scores=u)
     assert a.object_order == b.object_order
     va = pp.allocation_value(a, scores, d)
     vb = pp.allocation_value(b, scores, d)
     assert abs(va - vb) <= 1e-9 * max(1.0, abs(vb))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_strategies_match_brute_force_on_tie_heavy_instances(data):
+    k = data.draw(st.integers(1, 8), label="blocks")
+    m = data.draw(st.integers(k, k + 4), label="objects")
+    scores = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+    u, v = data.draw(scores, label="agent"), data.draw(scores, label="advocate")
+    lam = data.draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)), label="lambda")
+    kind = data.draw(st.sampled_from(("dcg", "cutoff", "geometric")), label="discount")
+    if kind == "dcg":
+        d = pp.make_discount("dcg", m)
+    elif kind == "cutoff":
+        d = pp.make_discount("cutoff", m, cutoff=data.draw(st.integers(1, m), label="cutoff"))
+    else:
+        d = pp.make_discount("geometric", m, beta=data.draw(st.sampled_from((0.3, 0.5, 0.9))))
+    part = random_partition(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m, k)
+    inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=d)
+    want = pp.solve(pp.SolveRequest(inst, lam, strategy="brute_force"))
+    exact = ["subset_dp"]
+    if m == k:
+        exact.append("sort")
+    if kind == "geometric":
+        exact.append("geometric_index")
+    for strategy in exact:
+        got = pp.solve(pp.SolveRequest(inst, lam, strategy=strategy))
+        assert got.allocation.block_order == want.allocation.block_order, strategy
+        assert got.objective == want.objective, strategy
+        assert got.agent_value == want.agent_value, strategy
