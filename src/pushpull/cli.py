@@ -202,12 +202,13 @@ def gen_cmd(kind, preset_name, seed, objects, blocks, types, signals, discount_k
     )
 
 
-def _oracle_check(instance) -> None:
+def _oracle_mismatches(instance) -> list[str]:
     # Exhaustive cross-check of the strategy auto dispatches to, at the three
     # anchor weights; any disagreement is a contract breach, not bad input.
     belief = prior_posterior(instance.type_space)
     u_bar = expected_scores(instance, belief, "agent")
     v_bar = expected_scores(instance, belief, "advocate")
+    mismatches = []
     for lam in (0.0, 0.5, 1.0):
         got = solve(SolveRequest(instance, lam))
         scores = combined_scores(lam, u_bar, v_bar)
@@ -217,14 +218,15 @@ def _oracle_check(instance) -> None:
         value = allocation_value(reference, scores, instance.discount)
         tol = 1e-9 * max(1.0, abs(value))
         if abs(got.objective - value) > tol:
-            raise SolverContractError(
+            mismatches.append(
                 f"oracle mismatch at lambda={lam}: solver {got.objective!r} vs brute {value!r}"
             )
-        if got.allocation.object_order != reference.object_order:
-            raise SolverContractError(
+        elif got.allocation.object_order != reference.object_order:
+            mismatches.append(
                 f"oracle mismatch at lambda={lam}: allocation "
                 f"{got.allocation.object_order} vs brute {reference.object_order}"
             )
+    return mismatches
 
 
 @main.command(name="validate")
@@ -255,13 +257,17 @@ def validate_cmd(inputs, oracle, out, summary):
             "oracle_checked": False,
         }
         if oracle and instance.partition.block_count <= BRUTE_FORCE_LIMIT:
-            _oracle_check(instance)
             record["oracle_checked"] = True
+            for line in _oracle_mismatches(instance):
+                click.echo(f"{path}: {line}", err=True)
+                record.setdefault("oracle_mismatches", []).append(line)
         records.append(record)
     payload = {"checked": len(inputs), "invalid": invalid, "files": records}
     batch = hashlib.sha256("".join(digests).encode("utf-8")).hexdigest()
     _emit(io.render_report("validate", batch, payload), out)
     _note(summary, f"checked {len(inputs)} file(s), {invalid} invalid")
+    if any("oracle_mismatches" in record for record in records):
+        raise SystemExit(3)
     if invalid:
         raise SystemExit(2)
 

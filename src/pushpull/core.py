@@ -12,8 +12,9 @@ scores.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -65,6 +66,90 @@ def _freeze(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+# Readers for outside input. Each returns the value in the type the domain
+# classes expect or raises ValidationError naming the field; none of them
+# casts, so "12" is never the list [1, 2] and 1.9 is never the integer 1.
+
+
+def read_list(value, field: str) -> list:
+    """A JSON array (or a tuple or vector from library callers) as a list."""
+    if type(value) is list:
+        return value
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return list(value)
+    raise ValidationError(f"{field} must be a list, got {value!r:.60}")
+
+
+def read_ids(value, field: str) -> tuple[str, ...]:
+    """A list of string identifiers."""
+    items = read_list(value, field)
+    for x in items:
+        if not isinstance(x, str):
+            raise ValidationError(f"{field} entry must be a string, got {x!r:.60}")
+    return tuple(items)
+
+
+def _is_number(x) -> bool:
+    # Booleans are ints to Python but never numbers here.
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def read_number(value, field: str) -> float:
+    """One int or float, as a float; non-finite values pass to the domain check."""
+    try:
+        if _is_number(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValidationError(f"{field} must be a number, got {value!r:.60}")
+
+
+def read_numbers(value, field: str) -> list[float]:
+    """A list of numbers, as floats."""
+    items = read_list(value, field)
+    # Written documents hold floats only, so one exact type test per entry
+    # settles the common case; this scan runs over every score on load.
+    for x in items:
+        if type(x) is not float:
+            return [read_number(x, f"{field} entry") for x in items]
+    return items
+
+
+def read_int(value, field: str) -> int:
+    """An integral int or float, as an int; booleans and 1.9 are rejected."""
+    if type(value) is int:
+        return value
+    if _is_number(value) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(f"{field} must be an integer, got {value!r:.60}")
+
+
+def read_object(value, field: str, required=(), optional=()) -> Mapping:
+    """A JSON object with every required field set and no unknown field."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{field} must be an object, got {value!r:.60}")
+    problems = []
+    allowed = {*required, *optional}
+    unknown = [str(key) for key in value if key not in allowed]
+    if unknown:
+        problems.append(f"{field}: unknown fields {', '.join(sorted(unknown))}")
+    for key in required:
+        if value.get(key) is None:
+            problems.append(f"{field}: missing required field {key!r}")
+    if problems:
+        raise ValidationError(problems)
+    return value
+
+
+def read_discount_spec(value, field: str) -> tuple[str, dict]:
+    """A discount object {"kind": ..., "params": {...}} as (kind, params)."""
+    spec = read_object(value, field, required=("kind",), optional=("params",))
+    params = spec.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ValidationError(f"{field}: params must be an object, got {params!r:.60}")
+    return spec["kind"], dict(params)
 
 
 @dataclass(frozen=True)
@@ -176,17 +261,7 @@ class DiscountCurve:
     __hash__ = None
 
 
-def _discount_param(params: Mapping, name: str, cast):
-    value = params.get(name)
-    if value is None:
-        return None
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"discount: {name} must be numeric, got {value!r}") from None
-
-
-def make_discount(kind: str, horizon: int, **params) -> DiscountCurve:
+def make_discount(kind: str, horizon: int, /, **params) -> DiscountCurve:
     """Build one of the stock discount families at a given horizon.
 
     dcg        1 / log2(n + 2) at 0-based position n
@@ -194,10 +269,10 @@ def make_discount(kind: str, horizon: int, **params) -> DiscountCurve:
     geometric  beta ** n for beta strictly inside (0, 1)
     custom     an explicit `weights` table of length `horizon`
     """
-    horizon = int(horizon)
+    horizon = read_int(horizon, "discount: horizon")
     if horizon < 1:
         raise ValidationError("discount: horizon must be at least 1")
-    if kind not in DISCOUNT_KINDS:
+    if not isinstance(kind, str) or kind not in DISCOUNT_KINDS:
         raise ValidationError(f"discount: unknown kind {kind!r}")
     unknown = sorted(set(params) - set(DISCOUNT_KINDS[kind]))
     if unknown:
@@ -206,21 +281,19 @@ def make_discount(kind: str, horizon: int, **params) -> DiscountCurve:
         weights = 1.0 / np.log2(np.arange(horizon) + 2.0)
         params = {}
     elif kind == "cutoff":
-        cut = _discount_param(params, "cutoff", int)
-        if cut is None or cut < 1:
+        cut = read_int(params.get("cutoff"), "discount: cutoff")
+        if cut < 1:
             raise ValidationError("discount: cutoff must be an integer >= 1")
         weights = (np.arange(horizon) < cut).astype(float)
         params = {"cutoff": cut}
     elif kind == "geometric":
-        beta = _discount_param(params, "beta", float)
-        if beta is None or not (0.0 < beta < 1.0):
+        beta = read_number(params.get("beta"), "discount: beta")
+        if not (0.0 < beta < 1.0):
             raise ValidationError("discount: beta must lie strictly inside (0, 1)")
         weights = beta ** np.arange(horizon)
         params = {"beta": beta}
     else:
-        weights = _discount_param(params, "weights", lambda table: tuple(float(x) for x in table))
-        if weights is None:
-            raise ValidationError("discount: custom kind requires a weights table")
+        weights = tuple(read_numbers(params.get("weights"), "discount: weights"))
         if len(weights) != horizon:
             raise ValidationError("discount: custom weights must match the horizon")
         params = {"weights": weights}
@@ -243,7 +316,7 @@ class TypeSpace:
             problems.append("types: must contain at least one type")
         if len(set(self.types)) != len(self.types):
             problems.append("types: type identifiers must be unique")
-        if p.ndim != 1 or p.size != len(self.types):
+        if p.ndim != 1 or p.size != len(self.types) or p.size == 0:
             problems.append("prior: must assign one weight per type")
         else:
             if not np.isfinite(p).all() or p.min() < 0.0:

@@ -41,7 +41,7 @@ class SignalChannel:
             problems.append("signals: must contain at least one signal")
         if len(set(self.signals)) != len(self.signals):
             problems.append("signals: signal identifiers must be unique")
-        if lik.ndim != 2 or lik.shape[1] != len(self.signals):
+        if lik.ndim != 2 or lik.shape[1] != len(self.signals) or lik.size == 0:
             problems.append("likelihood: must have one column per signal")
         else:
             if not np.isfinite(lik).all() or lik.min() < 0.0:

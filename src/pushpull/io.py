@@ -14,8 +14,9 @@ import hashlib
 import io as _io
 import json
 import math
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,11 @@ from .core import (
     UtilityTable,
     ValidationError,
     make_discount,
+    read_discount_spec,
+    read_ids,
+    read_list,
+    read_numbers,
+    read_object,
 )
 from .inference import PosteriorModel, SignalChannel, prior_posterior
 from .metrics import (
@@ -88,16 +94,13 @@ FRONTIER_HEADER = (
 
 USER_METRICS_HEADER = ("user_id", "group_label") + FRONTIER_HEADER
 
-_EXPLICIT_FIELDS = (
-    "catalog",
-    "partition",
-    "types",
-    "prior",
-    "agent_u",
-    "advocate_v",
-    "discount",
-    "signal_model",
-)
+_REQUIRED_FIELDS = ("catalog", "partition", "types", "prior", "agent_u", "advocate_v", "discount")
+
+_EXPLICIT_FIELDS = (*_REQUIRED_FIELDS, "signal_model")
+
+_DOCUMENT_FIELDS = ("schema_version", "generate", *_EXPLICIT_FIELDS)
+
+_STANZA_FIELDS = ("objects", "blocks", "types", "signals", "preset_name", "discount")
 
 
 class IngestedUser(NamedTuple):
@@ -219,36 +222,46 @@ def _plain(value):
     return value
 
 
-def _stanza_to_spec(stanza) -> scenarios.ScenarioSpec:
-    if not isinstance(stanza, Mapping):
-        raise ValidationError("generate: stanza must be an object")
-    problems = []
-    allowed = {"kind", "seed", "objects", "blocks", "types", "signals", "preset_name", "discount"}
-    unknown = sorted(set(stanza) - allowed)
+def _stanza_to_spec(stanza, field) -> scenarios.ScenarioSpec:
+    # The stanza fields are the ScenarioSpec fields, which check their values.
+    fields = dict(read_object(stanza, field, required=("kind", "seed"), optional=_STANZA_FIELDS))
+    if fields.get("discount") is not None:
+        fields["discount"] = read_discount_spec(fields["discount"], f"{field}: discount")
+    return scenarios.ScenarioSpec(**fields)
+
+
+def _read_partition(raw, field, catalog: Catalog) -> Partition:
+    label = f"{field} block"
+    blocks = [read_list(block, label) for block in read_list(raw, field)]
+    # One pass over all ids, not one per block: thousands of singleton
+    # blocks are common.
+    ids = read_ids([o for block in blocks for o in block], label)
+    index = catalog.index_map()
+    unknown = set(ids).difference(index)
     if unknown:
-        problems.append(f"generate: unknown fields {', '.join(unknown)}")
-    for key in ("kind", "seed"):
-        if key not in stanza:
-            problems.append(f"generate: missing required field {key!r}")
-    if problems:
-        raise ValidationError(problems)
-    discount = stanza.get("discount")
-    if discount is not None:
-        if not isinstance(discount, Mapping) or "kind" not in discount:
-            raise ValidationError("generate: discount must be an object with a kind")
-        params = discount.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ValidationError("generate: discount params must be an object")
-        discount = (str(discount["kind"]), dict(params))
-    return scenarios.ScenarioSpec(
-        kind=str(stanza["kind"]),
-        seed=stanza["seed"],
-        objects=stanza.get("objects"),
-        blocks=stanza.get("blocks"),
-        types=stanza.get("types"),
-        signals=stanza.get("signals"),
-        preset_name=stanza.get("preset_name"),
-        discount=discount,
+        raise ValidationError(f"{field}: unknown object ids {', '.join(sorted(unknown))}")
+    return Partition(tuple(tuple(map(index.__getitem__, block)) for block in blocks))
+
+
+def _read_rows(rows, field) -> list:
+    label = f"{field} row"
+    rows = [read_numbers(row, label) for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError(f"{field}: rows must all have the same length")
+    return rows
+
+
+def _read_scores(raw, field, types) -> list:
+    read_object(raw, field, required=types)
+    return _read_rows([raw[t] for t in types], field)
+
+
+def _read_channel(raw, field) -> SignalChannel:
+    read_object(raw, field, required=("signals", "likelihood"))
+    label = f"{field}: likelihood"
+    return SignalChannel(
+        signals=read_ids(raw["signals"], f"{field}: signals"),
+        likelihood=_read_rows(read_list(raw["likelihood"], label), label),
     )
 
 
@@ -261,152 +274,63 @@ def load_instance(document) -> Instance:
     if not isinstance(document, Mapping):
         raise ValidationError("document: must be a JSON object")
     problems: list[str] = []
+
+    def build(make, *args):
+        # make(*args), or None when an argument is missing or make raises;
+        # a ValidationError joins the collected problems.
+        for a in args:
+            if a is None:
+                return None
+        try:
+            return make(*args)
+        except ValidationError as err:
+            problems.extend(err.violations)
+            return None
+
+    def read(field, make, *needs):
+        return build(make, document.get(field), field, *needs)
+
+    build(read_object, document, "document", (), _DOCUMENT_FIELDS)
     version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         problems.append(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    explicit = [k for k in _EXPLICIT_FIELDS if k in document]
-    if "generate" in document:
-        if explicit:
+    if document.get("generate") is not None:
+        if any(k in document for k in _EXPLICIT_FIELDS):
             problems.append(
                 "document: give either explicit instance fields or a generate stanza, not both"
             )
-            raise ValidationError(problems)
-        try:
-            spec = _stanza_to_spec(document["generate"])
-        except ValidationError as err:
-            raise ValidationError([*problems, *err.violations]) from None
+        spec = read("generate", _stanza_to_spec)
         if problems:
             raise ValidationError(problems)
         return scenarios.generate(spec)
 
-    for key in ("catalog", "partition", "types", "prior", "agent_u", "advocate_v", "discount"):
-        if key not in document:
-            problems.append(f"{key}: missing required field")
-
-    catalog = None
-    if "catalog" in document:
-        try:
-            catalog = Catalog(tuple(str(x) for x in document["catalog"]))
-        except ValidationError as err:
-            problems.extend(err.violations)
-        except TypeError:
-            problems.append("catalog: must be a list of object ids")
-
-    partition = None
-    if catalog is not None and "partition" in document:
-        try:
-            index = catalog.index_map()
-            raw_blocks = document["partition"]
-            unknown = [str(o) for block in raw_blocks for o in block if str(o) not in index]
-            if unknown:
-                problems.append(f"partition: unknown object ids {', '.join(sorted(set(unknown)))}")
-            else:
-                partition = Partition(
-                    tuple(tuple(index[str(o)] for o in block) for block in raw_blocks)
-                )
-        except ValidationError as err:
-            problems.extend(err.violations)
-        except TypeError:
-            problems.append("partition: must be a list of lists of object ids")
-
-    # The type list parses on its own so utility tables can still be
-    # checked against it when the prior is the broken part.
-    type_names = None
-    if "types" in document:
-        try:
-            type_names = tuple(str(t) for t in document["types"])
-        except TypeError:
-            problems.append("types: must be a list of type ids")
-
-    type_space = None
-    if type_names is not None and "prior" in document:
-        try:
-            type_space = TypeSpace(
-                types=type_names,
-                prior=[float(p) for p in document["prior"]],
-            )
-        except ValidationError as err:
-            problems.extend(err.violations)
-        except (TypeError, ValueError):
-            problems.append("prior: entries must be numeric")
-
-    utilities = None
-    if type_names is not None and "agent_u" in document and "advocate_v" in document:
-        try:
-            rows_u, rows_v, table_problems = [], [], []
-            for field, sink in (("agent_u", rows_u), ("advocate_v", rows_v)):
-                table = document[field]
-                if not isinstance(table, Mapping):
-                    table_problems.append(f"{field}: must map type ids to score rows")
-                    continue
-                missing = [t for t in type_names if t not in table]
-                extra = sorted(set(table) - set(type_names))
-                if missing:
-                    table_problems.append(f"{field}: missing rows for {', '.join(missing)}")
-                if extra:
-                    table_problems.append(f"{field}: rows for unknown types {', '.join(extra)}")
-                if not missing and not extra:
-                    for t in type_names:
-                        sink.append([float(x) for x in table[t]])
-            if table_problems:
-                problems.extend(table_problems)
-            else:
-                utilities = UtilityTable(agent=rows_u, advocate=rows_v)
-        except ValidationError as err:
-            problems.extend(err.violations)
-        except (TypeError, ValueError):
-            problems.append("utilities: score rows must be numeric lists")
-
-    discount = None
-    if catalog is not None and "discount" in document:
-        try:
-            spec = document["discount"]
-            if not isinstance(spec, Mapping) or "kind" not in spec:
-                problems.append("discount: must be an object with a kind")
-            else:
-                params = dict(spec.get("params", {}))
-                discount = make_discount(str(spec["kind"]), len(catalog), **params)
-        except ValidationError as err:
-            problems.extend(err.violations)
-        except (TypeError, ValueError):
-            problems.append("discount: malformed params")
-
-    channel = None
-    raw_channel = document.get("signal_model")
-    if raw_channel is not None:
-        try:
-            channel = SignalChannel(
-                signals=tuple(str(s) for s in raw_channel["signals"]),
-                likelihood=[[float(x) for x in row] for row in raw_channel["likelihood"]],
-            )
-        except ValidationError as err:
-            problems.extend(err.violations)
-        except (TypeError, ValueError, KeyError):
-            problems.append("signal_model: must provide signals and a likelihood matrix")
-
+    problems += [f"{key}: missing required field" for key in _REQUIRED_FIELDS if document.get(key) is None]
+    catalog = read("catalog", lambda raw, field: Catalog(read_ids(raw, field)))
+    partition = read("partition", _read_partition, catalog)
+    types = read("types", read_ids)
+    type_space = build(TypeSpace, types, read("prior", read_numbers))
+    utilities = build(
+        UtilityTable, read("agent_u", _read_scores, types), read("advocate_v", _read_scores, types)
+    )
+    discount = build(
+        lambda spec, catalog: make_discount(spec[0], len(catalog), **spec[1]),
+        read("discount", read_discount_spec),
+        catalog,
+    )
+    channel = read("signal_model", _read_channel)
     if problems:
         raise ValidationError(problems)
-    try:
-        return Instance(
-            catalog=catalog,
-            partition=partition,
-            type_space=type_space,
-            utilities=utilities,
-            discount=discount,
-            signal_model=channel,
-        )
-    except ValidationError as err:
-        raise ValidationError(list(err.violations)) from None
+    return Instance(catalog, partition, type_space, utilities, discount, channel)
 
 
 def read_instance_json(path) -> Instance:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"instance: cannot read {path}: {err}") from None
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise ValidationError(f"instance: invalid JSON in {path}: {err}") from None
     return load_instance(document)
 
@@ -426,24 +350,30 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def read_relevance_log(path) -> list[dict]:
-    """Parse a relevance log; the header line must match LOG_HEADER exactly."""
+def _read_csv(path, header: Sequence[str], label: str) -> list[dict]:
+    """Rows of a UTF-8 CSV file whose first line is exactly `header`; blank rows skip."""
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != list(LOG_HEADER):
-                raise ValidationError(f"log: header must be exactly {','.join(LOG_HEADER)}")
+            if next(reader, None) != list(header):
+                raise ValidationError(f"{label}: header must be exactly {','.join(header)}")
             rows = []
             for n, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != len(LOG_HEADER):
-                    raise ValidationError(f"log: line {n}: expected {len(LOG_HEADER)} fields")
-                rows.append(dict(zip(LOG_HEADER, row)))
-    except OSError as err:
-        raise ValidationError(f"log: cannot read {path}: {err}") from None
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{label}: line {n}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(dict(zip(header, row)))
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raise ValidationError(f"{label}: cannot read {path}: {err}") from None
     return rows
+
+
+def read_relevance_log(path) -> list[dict]:
+    """Parse a relevance log; the header line must match LOG_HEADER exactly."""
+    return _read_csv(path, LOG_HEADER, "log")
 
 
 def ingest_relevance_log(
@@ -559,36 +489,25 @@ def user_metrics_csv(entries: Sequence[tuple[str, str, AgencyMetrics]]) -> str:
 
 
 def read_user_metrics_csv(path) -> list[tuple[str, str, AgencyMetrics]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(USER_METRICS_HEADER):
-            raise ValidationError(f"csv: header must be exactly {','.join(USER_METRICS_HEADER)}")
-        out = []
-        for n, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(USER_METRICS_HEADER):
-                raise ValidationError(
-                    f"csv: line {n}: expected {len(USER_METRICS_HEADER)} fields, got {len(row)}"
-                )
-            record = dict(zip(USER_METRICS_HEADER, row))
-            try:
-                metrics = AgencyMetrics(
-                    lam=float(record["lambda"]),
-                    u_lambda=float(record["U_lambda"]),
-                    v_lambda=float(record["V_lambda"]),
-                    p_lambda=float(record["P_lambda"]),
-                    u_1=math.nan,
-                    v_0=math.nan,
-                    pull=float(record["pull"]),
-                    push=float(record["push"]),
-                    degenerate_pull=_parse_bool(record["degenerate_pull"]),
-                    degenerate_push=_parse_bool(record["degenerate_push"]),
-                )
-            except (TypeError, ValueError) as err:
-                raise ValidationError(f"csv: malformed metrics row {row!r}: {err}") from None
-            out.append((record["user_id"], record["group_label"], metrics))
+    out = []
+    for record in _read_csv(path, USER_METRICS_HEADER, "csv"):
+        try:
+            metrics = AgencyMetrics(
+                lam=float(record["lambda"]),
+                u_lambda=float(record["U_lambda"]),
+                v_lambda=float(record["V_lambda"]),
+                p_lambda=float(record["P_lambda"]),
+                u_1=math.nan,
+                v_0=math.nan,
+                pull=float(record["pull"]),
+                push=float(record["push"]),
+                degenerate_pull=_parse_bool(record["degenerate_pull"]),
+                degenerate_push=_parse_bool(record["degenerate_push"]),
+            )
+        except ValueError as err:
+            row = list(record.values())
+            raise ValidationError(f"csv: malformed metrics row {row!r}: {err}") from None
+        out.append((record["user_id"], record["group_label"], metrics))
     return out
 
 

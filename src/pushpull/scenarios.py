@@ -24,6 +24,7 @@ from .core import (
     UtilityTable,
     ValidationError,
     make_discount,
+    read_int,
 )
 from .inference import SignalChannel
 
@@ -47,6 +48,12 @@ PRESETS: Mapping[str, dict] = {
 }
 
 _DEFAULT_DIMS = {"objects": 12, "blocks": 4, "types": 2, "signals": 2}
+
+# Upper bounds on generated dimensions. Score tables are types x objects and
+# the signal channel types x signals, so the products are bounded too.
+MAX_OBJECTS = 100_000
+MAX_TYPES = 1_000
+MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,48 +79,39 @@ class ScenarioSpec:
         problems = []
         if self.kind not in KINDS:
             problems.append(f"scenario: unknown kind {self.kind!r}")
-        try:
-            seed = int(self.seed)
-        except (TypeError, ValueError):
-            problems.append(f"scenario: seed must be an integer, got {self.seed!r}")
-        else:
-            object.__setattr__(self, "seed", seed)
-            if not 0 <= seed < 2**64:
-                problems.append("scenario: seed must fit in 64 unsigned bits")
-        if self.preset_name is not None and self.preset_name not in PRESETS:
+        if self.preset_name not in (None, *PRESETS):
             problems.append(f"scenario: unknown preset {self.preset_name!r}")
         if self.kind == "preset" and self.preset_name is None:
             problems.append("scenario: kind 'preset' requires preset_name")
-        for field in ("objects", "blocks", "types", "signals"):
-            value = getattr(self, field)
-            if value is None:
+        for name in ("seed", *_DEFAULT_DIMS):
+            value = getattr(self, name)
+            if value is None and name != "seed":
                 continue
             try:
-                value = int(value)
-            except (TypeError, ValueError):
-                problems.append(f"scenario: {field} must be an integer, got {value!r}")
-                continue
-            if value < 1:
-                problems.append(f"scenario: {field} must be positive")
-            object.__setattr__(self, field, value)
-        if self.discount is not None:
-            kind, params = self.discount
-            object.__setattr__(self, "discount", (str(kind), dict(params)))
+                object.__setattr__(self, name, read_int(value, f"scenario: {name}"))
+            except ValidationError as err:
+                problems.extend(err.violations)
+        if problems:
+            raise ValidationError(problems)
+        # Sizes are checked here, before generate allocates anything; the
+        # prior draw is quadratic in the type count.
+        m, k, t, s = self.dims()
+        checks = {
+            "scenario: seed must fit in 64 unsigned bits": not 0 <= self.seed < 2**64,
+            f"scenario: dimensions ({m}, {k}, {t}, {s}) must be positive": min(m, k, t, s) < 1,
+            f"scenario: blocks ({k}) cannot exceed objects ({m})": k > m,
+            f"scenario: objects ({m}) exceed the limit {MAX_OBJECTS}": m > MAX_OBJECTS,
+            f"scenario: types ({t}) exceed the limit {MAX_TYPES}": t > MAX_TYPES,
+            f"scenario: objects x types ({m * t}) exceed the limit {MAX_CELLS}": m * t > MAX_CELLS,
+            f"scenario: types x signals ({t * s}) exceed the limit {MAX_CELLS}": t * s > MAX_CELLS,
+        }
+        problems = [message for message, failed in checks.items() if failed]
         if problems:
             raise ValidationError(problems)
 
     def dims(self) -> tuple[int, int, int, int]:
-        preset = PRESETS.get(self.preset_name, {})
-        resolved = []
-        for field in ("objects", "blocks", "types", "signals"):
-            value = getattr(self, field)
-            if value is None:
-                value = preset.get(field, _DEFAULT_DIMS[field])
-            resolved.append(int(value))
-        m, k, t, s = resolved
-        if k > m:
-            raise ValidationError(f"scenario: blocks ({k}) cannot exceed objects ({m})")
-        return m, k, t, s
+        defaults = {**_DEFAULT_DIMS, **PRESETS.get(self.preset_name, {})}
+        return tuple(defaults[n] if getattr(self, n) is None else getattr(self, n) for n in _DEFAULT_DIMS)
 
 
 def _resolve_discount(spec: ScenarioSpec, m: int, rng: np.random.Generator) -> DiscountCurve:

@@ -4,6 +4,30 @@ import numpy as np
 
 import pushpull as pp
 
+E1_DOC = {
+    "schema_version": 1,
+    "catalog": ["o0", "o1", "o2"],
+    "partition": [["o0"], ["o1"], ["o2"]],
+    "types": ["t0"],
+    "prior": [1.0],
+    "agent_u": {"t0": [3, 1, 2]},
+    "advocate_v": {"t0": [0, 4, 0]},
+    "discount": {"kind": "custom", "params": {"weights": [1, 0.5, 0]}},
+    "signal_model": None,
+}
+
+SIGNAL_DOC = {
+    **E1_DOC,
+    "signal_model": {"signals": ["s0", "s1"], "likelihood": [[0.5, 0.5]]},
+}
+
+E1_LOG = (
+    "user_id,group_label,object_id,block_id,agent_score,advocate_score\n"
+    "u1,A,o0,b0,3,0\n"
+    "u1,A,o1,b1,1,4\n"
+    "u1,A,o2,b2,2,0\n"
+)
+
 
 def e1_instance(weights=(1, 0.5, 0)):
     """Three singleton blocks, u=(3,1,2), v=(0,4,0), hand-solvable."""

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -9,24 +10,7 @@ from click.testing import CliRunner
 from pushpull import __version__, solver
 from pushpull.cli import main
 
-E1_DOC = {
-    "schema_version": 1,
-    "catalog": ["o0", "o1", "o2"],
-    "partition": [["o0"], ["o1"], ["o2"]],
-    "types": ["t0"],
-    "prior": [1.0],
-    "agent_u": {"t0": [3, 1, 2]},
-    "advocate_v": {"t0": [0, 4, 0]},
-    "discount": {"kind": "custom", "params": {"weights": [1, 0.5, 0]}},
-    "signal_model": None,
-}
-
-E1_LOG = (
-    "user_id,group_label,object_id,block_id,agent_score,advocate_score\n"
-    "u1,A,o0,b0,3,0\n"
-    "u1,A,o1,b1,1,4\n"
-    "u1,A,o2,b2,2,0\n"
-)
+from helpers import E1_DOC, E1_LOG, SIGNAL_DOC
 
 
 @pytest.fixture()
@@ -265,28 +249,64 @@ def test_solve_csv_quotes_ids_that_need_it(runner, tmp_path):
     ]
 
 
-@pytest.mark.parametrize(
-    "document, violation",
-    [
-        ({"generate": {"kind": "random", "seed": "abc"}}, "seed"),
-        ({"generate": {"kind": "random", "seed": 1, "objects": "x"}}, "objects"),
-        (
-            {"generate": {"kind": "random", "seed": 1, "discount": {"kind": "cutoff", "params": {"cutoff": "abc"}}}},
-            "cutoff",
-        ),
-        (
-            {"generate": {"kind": "random", "seed": 1, "discount": {"kind": "geometric", "params": {"beta": 0.5, "bogus": 1}}}},
-            "bogus",
-        ),
-        ({"generate": {"kind": "random", "seed": 1, "discount": {"kind": "dcg", "params": "x"}}}, "params"),
-        ({**E1_DOC, "discount": {"kind": "cutoff", "params": {"cutoff": "abc"}}}, "cutoff"),
-        ({**E1_DOC, "discount": {"kind": "dcg", "params": "x"}}, "params"),
-    ],
-    ids=[
-        "generate-seed", "generate-objects", "generate-cutoff", "generate-unknown-param",
-        "generate-params-not-object", "explicit-cutoff", "explicit-params-not-object",
-    ],
-)
+def _stanza(**fields):
+    return {"generate": {"kind": "random", "seed": 1, **fields}}
+
+
+def _cutoff(value):
+    return {"kind": "cutoff", "params": {"cutoff": value}}
+
+
+# Each document names the field its violation must mention. Past the first
+# seven, each one used to end in a traceback or load as another instance
+# than the one written (a score row "312" read as [3, 1, 2]).
+BAD_DOCUMENTS = {
+    "generate-seed": ({"generate": {"kind": "random", "seed": "abc"}}, "seed"),
+    "generate-objects": ({"generate": {"kind": "random", "seed": 1, "objects": "x"}}, "objects"),
+    "generate-cutoff": (
+        {"generate": {"kind": "random", "seed": 1, "discount": {"kind": "cutoff", "params": {"cutoff": "abc"}}}},
+        "cutoff",
+    ),
+    "generate-unknown-param": (
+        {"generate": {"kind": "random", "seed": 1, "discount": {"kind": "geometric", "params": {"beta": 0.5, "bogus": 1}}}},
+        "bogus",
+    ),
+    "generate-params-not-object": (
+        {"generate": {"kind": "random", "seed": 1, "discount": {"kind": "dcg", "params": "x"}}},
+        "params",
+    ),
+    "explicit-cutoff": ({**E1_DOC, "discount": {"kind": "cutoff", "params": {"cutoff": "abc"}}}, "cutoff"),
+    "explicit-params-not-object": ({**E1_DOC, "discount": {"kind": "dcg", "params": "x"}}, "params"),
+    "generate-objects-infinity": (_stanza(objects=math.inf), "objects"),
+    "generate-cutoff-infinity": (_stanza(discount=_cutoff(math.inf)), "cutoff"),
+    "explicit-cutoff-infinity": ({**E1_DOC, "discount": _cutoff(math.inf)}, "cutoff"),
+    "generate-preset-name-list": (_stanza(kind="preset", preset_name=["x"]), "preset"),
+    "generate-param-named-horizon": (_stanza(discount={"kind": "dcg", "params": {"horizon": 3}}), "horizon"),
+    "generate-beta-huge-int": (_stanza(discount={"kind": "geometric", "params": {"beta": 10**400}}), "beta"),
+    "score-row-string": ({**E1_DOC, "agent_u": {"t0": "312"}}, "agent_u"),
+    "types-string": ({**E1_DOC, "types": "t", "agent_u": {"t": [3, 1, 2]}, "advocate_v": {"t": [0, 4, 0]}}, "types"),
+    "catalog-string": ({**E1_DOC, "catalog": "abc", "partition": [["a"], ["b"], ["c"]]}, "catalog"),
+    "partition-block-string": ({**E1_DOC, "catalog": ["a", "b", "c"], "partition": ["ab", ["c"]]}, "partition"),
+    "signals-string": ({**SIGNAL_DOC, "signal_model": {"signals": "ab", "likelihood": [[0.5, 0.5]]}}, "signals"),
+    "prior-bool": ({**E1_DOC, "prior": [True]}, "prior"),
+    "catalog-nested-id": (
+        {**E1_DOC, "catalog": [["o0"], "o1", "o2"], "partition": [[["o0"]], ["o1"], ["o2"]]},
+        "catalog",
+    ),
+    "explicit-cutoff-fraction": ({**E1_DOC, "discount": _cutoff(1.9)}, "cutoff"),
+    "explicit-cutoff-bool": ({**E1_DOC, "discount": _cutoff(True)}, "cutoff"),
+    "generate-cutoff-fraction": (_stanza(discount=_cutoff(1.9)), "cutoff"),
+    "generate-cutoff-bool": (_stanza(discount=_cutoff(True)), "cutoff"),
+    "generate-seed-fraction": (_stanza(seed=1.7), "seed"),
+    "generate-seed-bool": (_stanza(seed=True), "seed"),
+    "explicit-params-pairs": ({**E1_DOC, "discount": {"kind": "geometric", "params": [["beta", 0.5]]}}, "params"),
+    "schema-version-bool": ({**E1_DOC, "schema_version": True}, "schema_version"),
+    "unknown-top-level-field": ({**SIGNAL_DOC, "signal_modle": SIGNAL_DOC["signal_model"]}, "signal_modle"),
+    "unknown-discount-field": ({**E1_DOC, "discount": {**E1_DOC["discount"], "parms": {}}}, "parms"),
+}
+
+
+@pytest.mark.parametrize("document, violation", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS.keys())
 def test_validate_reports_bad_instance_fields(runner, tmp_path, document, violation):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": 1, **document}))
@@ -315,3 +335,23 @@ def test_validate_oracle_checks_the_strategy_auto_ships(runner, e1_path, monkeyp
     out = runner.invoke(main, ["validate", e1_path])
     assert out.exit_code == 3, out.output
     assert "oracle mismatch" in out.stderr
+
+
+def test_validate_records_an_oracle_mismatch_on_its_file(runner, e1_path, tmp_path, monkeypatch):
+    # Only the singleton-block file goes through the broken sort; the other
+    # file has multi-object blocks, so auto solves it with subset_dp.
+    def reversed_sort(partition, scores, agent, weights):
+        return tuple(reversed(range(partition.block_count))), False
+
+    blocks = runner.invoke(main, ["gen", "--kind", "random", "--seed", "2", "-M", "6", "-K", "3"])
+    blocks_path = tmp_path / "blocks.json"
+    blocks_path.write_text(blocks.stdout)
+    monkeypatch.setattr(solver, "_order_singleton_blocks", reversed_sort)
+    out = runner.invoke(main, ["validate", str(blocks_path), e1_path])
+    assert out.exit_code == 3, out.output
+    files = json.loads(out.stdout)["report"]["files"]
+    assert [f["path"] for f in files] == [str(blocks_path), e1_path]
+    assert "oracle_mismatches" not in files[0]
+    assert files[1]["oracle_mismatches"]
+    assert f"{e1_path}: oracle mismatch" in out.stderr
+    assert str(blocks_path) not in out.stderr

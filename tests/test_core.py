@@ -241,3 +241,10 @@ def test_validation_collects_multiple_problems():
 def test_validate_instance_passes_on_good_input():
     inst = make_instance(agent=[[1, 2]], advocate=[[2, 1]], blocks=((0,), (1,)))
     assert validate_instance(inst) is None
+
+
+def test_empty_prior_and_likelihood_are_validation_errors():
+    with pytest.raises(pp.ValidationError, match="prior"):
+        pp.TypeSpace((), [])
+    with pytest.raises(pp.ValidationError, match="likelihood"):
+        pp.SignalChannel((), [[]])
