@@ -350,8 +350,9 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _read_csv(path, header: Sequence[str], label: str) -> list[dict]:
-    """Rows of a UTF-8 CSV file whose first line is exactly `header`; blank rows skip."""
+def _read_csv(path, header: Sequence[str], label: str) -> list[tuple[int, dict]]:
+    """(line number, row) pairs of a UTF-8 CSV file whose first line is exactly
+    `header`; blank rows skip."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -365,7 +366,7 @@ def _read_csv(path, header: Sequence[str], label: str) -> list[dict]:
                     raise ValidationError(
                         f"{label}: line {n}: expected {len(header)} fields, got {len(row)}"
                     )
-                rows.append(dict(zip(header, row)))
+                rows.append((n, dict(zip(header, row))))
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise ValidationError(f"{label}: cannot read {path}: {err}") from None
     return rows
@@ -373,7 +374,7 @@ def _read_csv(path, header: Sequence[str], label: str) -> list[dict]:
 
 def read_relevance_log(path) -> list[dict]:
     """Parse a relevance log; the header line must match LOG_HEADER exactly."""
-    return _read_csv(path, LOG_HEADER, "log")
+    return [record for _, record in _read_csv(path, LOG_HEADER, "log")]
 
 
 def ingest_relevance_log(
@@ -490,7 +491,7 @@ def user_metrics_csv(entries: Sequence[tuple[str, str, AgencyMetrics]]) -> str:
 
 def read_user_metrics_csv(path) -> list[tuple[str, str, AgencyMetrics]]:
     out = []
-    for record in _read_csv(path, USER_METRICS_HEADER, "csv"):
+    for line, record in _read_csv(path, USER_METRICS_HEADER, "csv"):
         try:
             metrics = AgencyMetrics(
                 lam=float(record["lambda"]),
@@ -507,6 +508,9 @@ def read_user_metrics_csv(path) -> list[tuple[str, str, AgencyMetrics]]:
         except ValueError as err:
             row = list(record.values())
             raise ValidationError(f"csv: malformed metrics row {row!r}: {err}") from None
+        for field in ("lambda", "U_lambda", "V_lambda", "P_lambda", "pull", "push"):
+            if not math.isfinite(float(record[field])):
+                raise ValidationError(f"csv: line {line}: {field} must be finite, got {record[field]!r}")
         out.append((record["user_id"], record["group_label"], metrics))
     return out
 

@@ -119,6 +119,19 @@ class RefineComparison:
     refined_v0: float
 
 
+# Upper bound on grid points x catalog objects. A frontier holds one object
+# order per point, so 10^7 cells keep those tuples near 100 MB.
+MAX_GRID_CELLS = 10_000_000
+
+
+def _bounded_grid(instance: Instance, grid: tuple[float, float, int]) -> tuple[float, ...]:
+    """lambda_grid(*grid), once points x objects is checked against MAX_GRID_CELLS."""
+    cells = int(grid[2]) * instance.partition.size
+    if cells > MAX_GRID_CELLS:
+        raise ValidationError(f"grid: points x objects ({cells}) exceed the limit {MAX_GRID_CELLS}")
+    return lambda_grid(*grid)
+
+
 def lambda_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     """Evenly spaced lambda values with both endpoints hit exactly."""
     lo, hi, count = float(lo), float(hi), int(count)
@@ -189,7 +202,7 @@ def frontier(
     strategy: str = "auto",
 ) -> Frontier:
     """Metrics across a lambda grid; U_1 and V_0 computed once and shared."""
-    lams = lambda_grid(*grid)
+    lams = _bounded_grid(instance, grid)
     results = solve_grid(instance, lams, posterior, strategy)
     u_1, v_0 = _endpoints(instance, results, posterior, strategy)
     points = tuple(_point(r, u_1, v_0) for r in results)
@@ -308,7 +321,7 @@ def refine_compare(
     if not is_refinement(instance.partition, refined_partition):
         raise ValidationError("refine: new partition does not refine the instance partition")
     refined = dataclasses.replace(instance, partition=refined_partition)
-    lams = lambda_grid(*grid)
+    lams = _bounded_grid(instance, grid)
     base_results = solve_grid(instance, lams, posterior, strategy)
     refined_results = solve_grid(refined, lams, posterior, strategy)
     points = tuple(

@@ -7,7 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from pushpull import __version__, solver
+from pushpull import __version__, metrics, solver
 from pushpull.cli import main
 
 from helpers import E1_DOC, E1_LOG, SIGNAL_DOC
@@ -325,13 +325,30 @@ def test_aggregate_short_row_exits_2_naming_the_line(runner, tmp_path):
     assert "line 3" in out.stderr
 
 
+@pytest.mark.parametrize("field, text", [("pull", "nan"), ("push", "inf"), ("lambda", "-inf"), ("U_lambda", "NaN")])
+def test_aggregate_non_finite_number_exits_2_naming_line_and_field(runner, tmp_path, field, text):
+    users_csv = tmp_path / "users.csv"
+    header = "user_id,group_label,lambda,U_lambda,V_lambda,P_lambda,pull,push,degenerate_pull,degenerate_push"
+    row = dict(zip(header.split(","), "u1,g0,0.5,2.5,4,6.5,0.625,1,false,false".split(",")), **{field: text})
+    users_csv.write_text(f"{header}\nu0,g0,0.5,2.5,4,6.5,0.625,1,false,false\n\n{','.join(row.values())}\n")
+    out = runner.invoke(main, ["aggregate", str(users_csv)])
+    assert out.exit_code == 2, out.output
+    assert f"csv: line 4: {field} must be finite, got '{text}'" in out.stderr
+
+
+def _patch_sort(monkeypatch, order):
+    """Make the sort strategy rank blocks with `order` instead of the sort rule."""
+    row = solver._TABLE["sort"]._replace(orders=solver._per_lambda(order))
+    monkeypatch.setitem(solver._TABLE, "sort", row)
+
+
 def test_validate_oracle_checks_the_strategy_auto_ships(runner, e1_path, monkeypatch):
     # e1 has singleton blocks, so auto solves it with the sort rule; a broken
     # sort must be caught even though subset_dp would still agree with brute force.
-    def reversed_sort(partition, scores, agent, weights):
+    def reversed_sort(partition, discount, scores, agent):
         return tuple(reversed(range(partition.block_count))), False
 
-    monkeypatch.setattr(solver, "_order_singleton_blocks", reversed_sort)
+    _patch_sort(monkeypatch, reversed_sort)
     out = runner.invoke(main, ["validate", e1_path])
     assert out.exit_code == 3, out.output
     assert "oracle mismatch" in out.stderr
@@ -340,13 +357,13 @@ def test_validate_oracle_checks_the_strategy_auto_ships(runner, e1_path, monkeyp
 def test_validate_records_an_oracle_mismatch_on_its_file(runner, e1_path, tmp_path, monkeypatch):
     # Only the singleton-block file goes through the broken sort; the other
     # file has multi-object blocks, so auto solves it with subset_dp.
-    def reversed_sort(partition, scores, agent, weights):
+    def reversed_sort(partition, discount, scores, agent):
         return tuple(reversed(range(partition.block_count))), False
 
     blocks = runner.invoke(main, ["gen", "--kind", "random", "--seed", "2", "-M", "6", "-K", "3"])
     blocks_path = tmp_path / "blocks.json"
     blocks_path.write_text(blocks.stdout)
-    monkeypatch.setattr(solver, "_order_singleton_blocks", reversed_sort)
+    _patch_sort(monkeypatch, reversed_sort)
     out = runner.invoke(main, ["validate", str(blocks_path), e1_path])
     assert out.exit_code == 3, out.output
     files = json.loads(out.stdout)["report"]["files"]
@@ -355,3 +372,14 @@ def test_validate_records_an_oracle_mismatch_on_its_file(runner, e1_path, tmp_pa
     assert files[1]["oracle_mismatches"]
     assert f"{e1_path}: oracle mismatch" in out.stderr
     assert str(blocks_path) not in out.stderr
+
+
+@pytest.mark.parametrize("command", ["frontier", "refine-compare"])
+def test_grid_is_bounded_before_it_is_built(runner, e1_path, monkeypatch, command):
+    def unreachable(*args):
+        raise AssertionError("lambda_grid ran on an unbounded grid")
+
+    monkeypatch.setattr(metrics, "lambda_grid", unreachable)
+    out = runner.invoke(main, [command, e1_path, "--grid", f"0:1:{10**11}"])
+    assert out.exit_code == 2, out.output
+    assert "grid: points x objects (300000000000) exceed the limit" in out.stderr

@@ -233,3 +233,26 @@ def test_refine_compare_identical_partition_zero_delta_everywhere():
     inst = e1_instance()
     comparison = pp.refine_compare(inst, inst.partition, (0.0, 1.0, 11))
     assert all(p.delta == 0.0 for p in comparison.points)
+
+
+@pytest.mark.parametrize("objects, points", [(2000, 101), (5000, 21), (100, 10001)])
+def test_grid_bound_admits_the_largest_grids_in_use(monkeypatch, objects, points):
+    # The benchmark's largest frontiers, and a 10001-point frontier at M=100.
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(pp.metrics, "lambda_grid", reached)
+    inst = make_instance(agent=[[1.0] * objects], advocate=[[0.0] * objects], blocks=[(i,) for i in range(objects)])
+    with pytest.raises(Reached):
+        pp.frontier(inst, (0.0, 1.0, points))
+    with pytest.raises(Reached):
+        pp.refine_compare(inst, inst.partition, (0.0, 1.0, points))
+
+
+def test_grid_bound_counts_points_times_objects():
+    inst = make_instance(agent=[[1.0] * 1000], advocate=[[0.0] * 1000], blocks=[(i,) for i in range(1000)])
+    with pytest.raises(pp.ValidationError, match="points x objects"):
+        pp.frontier(inst, (0.0, 1.0, pp.metrics.MAX_GRID_CELLS // 1000 + 1))
