@@ -30,9 +30,10 @@ from .solver import (
     STRATEGIES,
     SolveRequest,
     SolverContractError,
-    brute_force_oracle,
+    brute_force_oracle,  # unused here, but perfbench/spans.py traces cli.brute_force_oracle
     combined_scores,
     solve,
+    solve_grid,
 )
 
 _KIND_CHOICES = tuple(k.replace("_", "-") for k in KINDS)
@@ -205,26 +206,26 @@ def gen_cmd(kind, preset_name, seed, objects, blocks, types, signals, discount_k
 def _oracle_mismatches(instance) -> list[str]:
     # Exhaustive cross-check of the strategy auto dispatches to, at the three
     # anchor weights; any disagreement is a contract breach, not bad input.
+    # One brute-force grid call builds the block-order tables once per file.
     belief = prior_posterior(instance.type_space)
     u_bar = expected_scores(instance, belief, "agent")
     v_bar = expected_scores(instance, belief, "advocate")
+    lams = (0.0, 0.5, 1.0)
     mismatches = []
-    for lam in (0.0, 0.5, 1.0):
-        got = solve(SolveRequest(instance, lam))
+    for lam, got, reference in zip(
+        lams, solve_grid(instance, lams), solve_grid(instance, lams, strategy="brute_force")
+    ):
         scores = combined_scores(lam, u_bar, v_bar)
-        reference = brute_force_oracle(
-            instance.partition, scores, instance.discount, agent_scores=u_bar
-        )
-        value = allocation_value(reference, scores, instance.discount)
+        value = allocation_value(reference.allocation, scores, instance.discount)
         tol = 1e-9 * max(1.0, abs(value))
         if abs(got.objective - value) > tol:
             mismatches.append(
                 f"oracle mismatch at lambda={lam}: solver {got.objective!r} vs brute {value!r}"
             )
-        elif got.allocation.object_order != reference.object_order:
+        elif got.allocation.object_order != reference.allocation.object_order:
             mismatches.append(
                 f"oracle mismatch at lambda={lam}: allocation "
-                f"{got.allocation.object_order} vs brute {reference.object_order}"
+                f"{got.allocation.object_order} vs brute {reference.allocation.object_order}"
             )
     return mismatches
 

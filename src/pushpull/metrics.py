@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .core import Instance, Partition, ValidationError, is_refinement
 from .inference import PosteriorModel, garble, posterior, signal_marginal
-from .solver import SolveRequest, SolveResult, solve, solve_grid
+# solve is unused here, but perfbench/spans.py traces metrics.solve.
+from .solver import SolveResult, solve, solve_grid
 
 __all__ = [
     "AgencyMetrics",
@@ -160,11 +161,15 @@ def _endpoints(
     posterior: PosteriorModel | None,
     strategy: str,
 ) -> tuple[float, float]:
-    """(U_1, V_0), reusing any of `results` already solved at lambda 1 or 0."""
+    """(U_1, V_0), reusing any of `results` already solved at lambda 1 or 0.
+
+    The endpoints missing from `results` are solved in one grid call.
+    """
     by_lam = {r.lam: r for r in results}
-    top = by_lam.get(1.0) or solve(SolveRequest(instance, 1.0, posterior, strategy))
-    bottom = by_lam.get(0.0) or solve(SolveRequest(instance, 0.0, posterior, strategy))
-    return top.agent_value, bottom.advocate_value
+    missing = [lam for lam in (1.0, 0.0) if lam not in by_lam]
+    if missing:
+        by_lam.update((r.lam, r) for r in solve_grid(instance, missing, posterior, strategy))
+    return by_lam[1.0].agent_value, by_lam[0.0].advocate_value
 
 
 def _point(at_lam: SolveResult, u_1: float, v_0: float) -> AgencyMetrics:
@@ -190,9 +195,9 @@ def agency_metrics(
     posterior: PosteriorModel | None = None,
     strategy: str = "auto",
 ) -> AgencyMetrics:
-    """Metrics at a single lambda; solves at lam and at whichever of 1 and 0 lam is not."""
-    at_lam = solve(SolveRequest(instance, lam, posterior, strategy))
-    return _point(at_lam, *_endpoints(instance, (at_lam,), posterior, strategy))
+    """Metrics at a single lambda: one grid call solves lam and whichever of 1 and 0 lam is not."""
+    results = solve_grid(instance, dict.fromkeys((float(lam), 1.0, 0.0)), posterior, strategy)
+    return _point(results[0], *_endpoints(instance, results, posterior, strategy))
 
 
 def frontier(

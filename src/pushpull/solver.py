@@ -65,8 +65,12 @@ BRUTE_FORCE_LIMIT = 8
 
 STRATEGIES = ("auto", "sort", "subset_dp", "geometric_index", "local_search", "brute_force")
 
-# Cap on rows * subsets held in memory at once when solving a lambda grid.
-_DP_CELL_BUDGET = 1 << 24
+# Cap on rows * subsets of value-to-go held at once when solving a lambda
+# grid: one row at DP_SUBSET_LIMIT blocks.
+_DP_CELL_BUDGET = 1 << DP_SUBSET_LIMIT
+
+# Cap on subsets * absent blocks * rows in one step of the subset DP.
+_DP_SLICE_CELLS = 1 << 16
 
 
 class SolverContractError(RuntimeError):
@@ -215,87 +219,125 @@ def _block_contribs(partition: Partition, scores, weights: np.ndarray) -> np.nda
     return contrib
 
 
-def _subset_offsets(lengths) -> np.ndarray:
-    n = 1 << len(lengths)
-    subs = np.arange(n)
-    off = np.zeros(n, dtype=np.intp)
-    for i, ln in enumerate(lengths):
-        off += ((subs >> i) & 1).astype(np.intp) * ln
-    return off
+class _Subsets(NamedTuple):
+    """Subset tables for one tuple of block lengths; block i is bit i.
 
-
-def _popcount_levels(k: int) -> list[np.ndarray]:
-    subs = np.arange(1 << k)
-    pc = np.zeros(subs.size, dtype=np.int64)
-    for i in range(k):
-        pc += (subs >> i) & 1
-    return [subs[pc == level] for level in range(k + 1)]
-
-
-def _dp_steps(offsets: np.ndarray, levels):
-    """The backward pass of the subset DP, one step per (level, block).
-
-    Yields (i, sel, off, nxt): block i, the subsets sel at the level that
-    lack it, the position off = offsets[sel] where block i would start, and
-    the subsets nxt = sel | (1 << i) after placing it. Levels run from K-1
-    down to 0, so every nxt is final before any sel reads it.
+    offsets[S] is the summed length of the blocks in S. levels[L] lists the
+    subsets of L blocks in ascending order, and missing[L][j] the blocks
+    absent from levels[L][j], also ascending.
     """
-    k = len(levels) - 1
+
+    offsets: np.ndarray
+    levels: list[np.ndarray]
+    missing: list[np.ndarray]
+
+
+def _subset_tables(lengths) -> _Subsets:
+    """Build the subset tables by doubling, one block at a time.
+
+    Adding block i appends a copy of every subset with bit i set. A subset
+    without it gains i as its last absent block, so every list stays in
+    ascending order.
+    """
+    offsets = np.zeros(1, dtype=np.int32)
+    levels = [np.zeros(1, dtype=np.int32)]
+    missing = [np.zeros((1, 0), dtype=np.uint8)]
+    for i, length in enumerate(lengths):
+        offsets = np.concatenate((offsets, offsets + length))
+        grown_levels, grown_missing = [], []
+        for level in range(i + 2):
+            subsets, absent = [], []
+            if level <= i:
+                subsets.append(levels[level])
+                last = np.full((len(levels[level]), 1), i, dtype=np.uint8)
+                absent.append(np.concatenate((missing[level], last), axis=1))
+            if level > 0:
+                subsets.append(levels[level - 1] + (1 << i))
+                absent.append(missing[level - 1])
+            grown_levels.append(np.concatenate(subsets))
+            grown_missing.append(np.concatenate(absent))
+        levels, missing = grown_levels, grown_missing
+    return _Subsets(offsets, levels, missing)
+
+
+def _dp_slices(tables: _Subsets, rows: int):
+    """The backward pass of the subset DP, one slice of a level at a time.
+
+    Yields (sel, at, nxt) for subsets sel of one level: at[j, c] is the row
+    of _by_position's table for the c-th block absent from sel[j], placed
+    at offset offsets[sel[j]], and nxt[j, c] is the subset after placing
+    it. Levels run from K-1 down to 0, so every nxt is final before any sel
+    reads it. A slice holds at most _DP_SLICE_CELLS candidate cells.
+    """
+    k = len(tables.levels) - 1
+    bits = 1 << np.arange(k)
     for level in range(k - 1, -1, -1):
-        for i in range(k):
-            bit = 1 << i
-            sel = levels[level]
-            sel = sel[(sel & bit) == 0]
-            if sel.size:
-                yield i, sel, offsets[sel], sel | bit
+        step = max(1, _DP_SLICE_CELLS // ((k - level) * rows))
+        for start in range(0, len(tables.levels[level]), step):
+            sel = tables.levels[level][start : start + step]
+            off = tables.offsets[sel].astype(np.intp)
+            miss = tables.missing[level][start : start + step]
+            yield sel, off[:, None] * k + miss, sel[:, None] | bits[miss]
 
 
-def _dp_value_to_go(contrib: np.ndarray, offsets: np.ndarray, levels) -> np.ndarray:
-    """go[r, S] = best achievable value of the blocks outside S, given that
+def _by_position(contrib: np.ndarray) -> np.ndarray:
+    """Block tables (rows, K, M+1) as one ((M+1) * K, rows) array: row off * K + b
+    holds block b at offset off for every objective row."""
+    return np.ascontiguousarray(contrib.transpose(2, 1, 0)).reshape(-1, contrib.shape[0])
+
+
+def _dp_value_to_go(contrib: np.ndarray, tables: _Subsets) -> np.ndarray:
+    """go[S, r] = best achievable value of the blocks outside S, given that
     the blocks in S already fill the first offsets[S] positions.
 
     The offset of the next block depends only on the set S (sum of placed
     lengths), never on their order, which is what makes the subset DP
-    exact (the Held-Karp recursion). contrib has one row of block tables
-    per objective row r.
+    exact (the Held-Karp recursion). contrib has one (K, M+1) table of
+    block values per objective row r. Each step takes the max over all
+    absent blocks at once; max is exact, so the order of blocks is moot.
     """
     rows, k, _ = contrib.shape
-    n = 1 << k
-    go = np.full((rows, n), -np.inf)
-    go[:, n - 1] = 0.0
-    for i, sel, off, nxt in _dp_steps(offsets, levels):
-        cand = contrib[:, i, off] + go[:, nxt]
-        cur = go[:, sel]
-        go[:, sel] = np.where(cand > cur, cand, cur)
+    flat = _by_position(contrib)
+    go = np.full((1 << k, rows), -np.inf)
+    go[-1] = 0.0
+    for sel, at, nxt in _dp_slices(tables, rows):
+        cand = np.take(flat, at, axis=0)
+        cand += np.take(go, nxt, axis=0)
+        go[sel] = cand.max(axis=1)
     return go
 
 
-def _dp_agent_to_go(contrib_obj, contrib_agent, go, offsets, levels, tol) -> np.ndarray:
+def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     """Best agent value over continuations that stay objective-tied.
 
-    Only continuations within tol of the optimal value-to-go at every step
-    participate; everything else is excluded with -inf.
+    One column per objective row r of contrib_obj, whose value-to-go is
+    go[:, r] and whose tolerance is tol[r]. Only continuations within
+    tol[r] of the optimal value-to-go at every step participate;
+    everything else is excluded with -inf.
     """
-    n = go.size
-    gu = np.full(n, -np.inf)
-    gu[n - 1] = 0.0
-    for i, sel, off, nxt in _dp_steps(offsets, levels):
-        ok = np.abs(contrib_obj[i, off] + go[nxt] - go[sel]) <= tol
-        cand = np.where(ok, contrib_agent[i, off] + gu[nxt], -np.inf)
-        gu[sel] = np.maximum(gu[sel], cand)
+    flat_obj = _by_position(contrib_obj)
+    flat_agent = _by_position(contrib_agent[None])
+    gu = np.full(go.shape, -np.inf)
+    gu[-1] = 0.0
+    for sel, at, nxt in _dp_slices(tables, go.shape[1]):
+        obj = np.take(flat_obj, at, axis=0)
+        obj += np.take(go, nxt, axis=0)
+        ok = np.abs(obj - go[sel][:, None]) <= tol
+        cand = np.take(flat_agent, at, axis=0) + np.take(gu, nxt, axis=0)
+        gu[sel] = np.where(ok, cand, -np.inf).max(axis=1)
     return gu
 
 
-def _dp_walk(contrib_obj, contrib_agent, go, offsets, levels):
+def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
     """Greedy reconstruction of one DP row along tied-optimal branches.
 
-    The agent table is built on the first tie, so a row without ties never
-    pays for the agent pass.
+    go and gu are the row's value and agent tables. Without gu the walk
+    returns None at its first tie, so a row without ties never needs the
+    agent pass.
     """
     k = contrib_obj.shape[0]
     full = (1 << k) - 1
     tol = _tol(go[0])
-    gu = None
     state = 0
     order: list[int] = []
     tie = False
@@ -311,9 +353,9 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, levels):
         if not cands:
             raise SolverContractError("internal: reconstruction lost the optimum")
         if len(cands) > 1:
-            tie = True
             if gu is None:
-                gu = _dp_agent_to_go(contrib_obj, contrib_agent, go, offsets, levels, tol)
+                return None
+            tie = True
             uvals = np.array([contrib_agent[i, off] + gu[state | (1 << i)] for i in cands])
             cands = [i for i, near in zip(cands, _near_best(uvals)) if near]
         choice = cands[0]
@@ -322,12 +364,24 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, levels):
     return tuple(order), tie
 
 
-def _dp_orders(lengths, contrib_obj, contrib_agent):
-    """Solve one subset DP per objective row; contrib_obj is (rows, K, M+1)."""
-    offsets = _subset_offsets(lengths)
-    levels = _popcount_levels(len(lengths))
-    go = _dp_value_to_go(contrib_obj, offsets, levels)
-    return [_dp_walk(contrib_obj[r], contrib_agent, go[r], offsets, levels) for r in range(len(go))]
+def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
+    """Solve one subset DP per objective row; contrib_obj is (rows, K, M+1).
+
+    Rows whose walk meets a tie share one agent pass, then walk again.
+    """
+    go = _dp_value_to_go(contrib_obj, tables)
+    rows = range(len(contrib_obj))
+    offsets = tables.offsets
+    orders = [_dp_walk(contrib_obj[r], contrib_agent, go[:, r], offsets) for r in rows]
+    tied = [r for r in rows if orders[r] is None]
+    if tied:
+        # When every row tied, the agent pass reads go itself, not a copy.
+        tied_go = go if len(tied) == len(rows) else go.take(tied, axis=1)
+        tol = np.array([_tol(go[0, r]) for r in tied])
+        gu = _dp_agent_to_go(contrib_obj[tied], contrib_agent, tied_go, tables, tol)
+        for j, r in enumerate(tied):
+            orders[r] = _dp_walk(contrib_obj[r], contrib_agent, go[:, r], offsets, gu[:, j])
+    return orders
 
 
 def _block_keys(partition: Partition, scores) -> tuple[tuple[float, ...], ...]:
@@ -397,17 +451,26 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
     return tuple(order), tie
 
 
-def _order_brute(partition: Partition, discount: DiscountCurve, scores, agent):
+def _brute_tables(partition: Partition):
+    """Every block order, and the object order of each, one row per order.
+
+    Only the partition shapes them, so one build serves every lambda.
+    """
     blocks = partition.blocks
     perms = list(itertools.permutations(range(partition.block_count)))
     orders = np.array(
         [[obj for b in perm for obj in blocks[b]] for perm in perms], dtype=np.intp
     )
-    values = np.asarray(scores, dtype=float)[orders] @ discount.weights
+    return perms, orders
+
+
+def _order_brute(tables, weights: np.ndarray, scores, agent):
+    perms, orders = tables
+    values = np.asarray(scores, dtype=float)[orders] @ weights
     tied = np.nonzero(_near_best(values))[0]
     tie = tied.size > 1
     if tie:
-        agent_vals = np.asarray(agent, dtype=float)[orders[tied]] @ discount.weights
+        agent_vals = np.asarray(agent, dtype=float)[orders[tied]] @ weights
         tied = tied[_near_best(agent_vals)]
     # itertools yields permutations in lexicographic order, so the first
     # survivor is the lexicographically smallest block order.
@@ -425,7 +488,7 @@ def brute_force_oracle(partition: Partition, scores, discount: DiscountCurve, *,
     agent = np.zeros(s.size) if agent_scores is None else _checked_scores(
         agent_scores, s.size, "agent_scores"
     )
-    order, _ = _order_brute(partition, discount, s, agent)
+    order, _ = _order_brute(_brute_tables(partition), discount.weights, s, agent)
     return build_allocation(partition, order)
 
 
@@ -502,18 +565,26 @@ def _local_search_orders(instance, u_bar, v_bar, lams):
     ]
 
 
+def _brute_force_orders(instance, u_bar, v_bar, lams):
+    tables = _brute_tables(instance.partition)
+    weights = instance.discount.weights
+    return [
+        _order_brute(tables, weights, combined_scores(lam, u_bar, v_bar), u_bar) for lam in lams
+    ]
+
+
 def _subset_dp_orders(instance, u_bar, v_bar, lams):
-    # All lambdas share one vectorized DP, one row each, in chunks that
-    # keep rows * subsets within _DP_CELL_BUDGET.
+    # All lambdas share one set of subset tables and go through the DP one
+    # row each, in chunks that keep rows * subsets within _DP_CELL_BUDGET.
     partition = instance.partition
     contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
-    lengths = partition.block_lengths()
+    tables = _subset_tables(partition.block_lengths())
     chunk = max(1, _DP_CELL_BUDGET >> partition.block_count)
     out = []
     for start in range(0, len(lams), chunk):
         rows = np.array(lams[start : start + chunk])[:, None, None]
         contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
-        out.extend(_dp_orders(lengths, contrib_obj, contrib_u))
+        out.extend(_dp_orders(tables, contrib_obj, contrib_u))
     return out
 
 
@@ -527,7 +598,7 @@ _TABLE = {
     "subset_dp": _Strategy(_refuse_subset_dp, _subset_dp_orders),
     "geometric_index": _Strategy(_refuse_geometric_index, _per_lambda(_order_geometric)),
     "local_search": _Strategy(lambda partition, discount: None, _local_search_orders),
-    "brute_force": _Strategy(_refuse_brute_force, _per_lambda(_order_brute)),
+    "brute_force": _Strategy(_refuse_brute_force, _brute_force_orders),
 }
 
 # auto runs the first of these whose precondition holds.

@@ -374,6 +374,20 @@ def test_validate_records_an_oracle_mismatch_on_its_file(runner, e1_path, tmp_pa
     assert str(blocks_path) not in out.stderr
 
 
+def test_validate_oracle_builds_the_block_order_tables_once_per_file(runner, e1_path, monkeypatch):
+    builds = []
+    brute_tables = solver._brute_tables
+
+    def spy(partition):
+        builds.append(partition.block_count)
+        return brute_tables(partition)
+
+    monkeypatch.setattr(solver, "_brute_tables", spy)
+    out = runner.invoke(main, ["validate", e1_path, e1_path])
+    assert out.exit_code == 0, out.output
+    assert builds == [3, 3]
+
+
 @pytest.mark.parametrize("command", ["frontier", "refine-compare"])
 def test_grid_is_bounded_before_it_is_built(runner, e1_path, monkeypatch, command):
     def unreachable(*args):
