@@ -113,25 +113,23 @@ def _parse_split(text: str) -> dict[int, list[int]]:
 
 
 def _discount_config(kind, cutoff, beta, weights) -> tuple[str, dict] | None:
+    """The --discount curve and its parameters; a flag of another curve is an error."""
+    # (curve, the flag it owns, the flag's value)
+    owned = (("cutoff", "--cutoff", cutoff), ("geometric", "--beta", beta), ("custom", "--weights", weights))
+    problems = []
+    for curve, flag, value in owned:
+        if curve == kind and value is None:
+            problems.append(f"discount: {kind} requires {flag}")
+        elif curve != kind and value is not None:
+            where = "requires --discount" if kind is None else f"does not apply to --discount {kind}"
+            problems.append(f"discount: {flag} {where}")
+    if problems:
+        raise ValidationError(problems)
     if kind is None:
-        for flag, name in ((cutoff, "--cutoff"), (beta, "--beta"), (weights, "--weights")):
-            if flag is not None:
-                raise ValidationError(f"discount: {name} requires --discount")
         return None
-    params: dict = {}
-    if kind == "cutoff":
-        if cutoff is None:
-            raise ValidationError("discount: cutoff requires --cutoff")
-        params["cutoff"] = cutoff
-    elif kind == "geometric":
-        if beta is None:
-            raise ValidationError("discount: geometric requires --beta")
-        params["beta"] = beta
-    elif kind == "custom":
-        if weights is None:
-            raise ValidationError("discount: custom requires --weights")
-        params["weights"] = list(_parse_floats(weights, "weights"))
-    return kind, params
+    if kind == "custom":
+        return kind, {"weights": list(_parse_floats(weights, "weights"))}
+    return kind, {"cutoff": {"cutoff": cutoff}, "geometric": {"beta": beta}}.get(kind, {})
 
 
 def _belief(instance, signal):

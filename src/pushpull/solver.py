@@ -27,6 +27,8 @@ holds; solve() is solve_grid() on one lambda.
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -224,26 +226,87 @@ class _Subsets(NamedTuple):
 
     offsets[S] is the summed length of the blocks in S. levels[L] lists the
     subsets of L blocks in ascending order, and missing[L][j] the blocks
-    absent from levels[L][j], also ascending.
+    absent from levels[L][j], also ascending. plan[L] holds the (at, nxt)
+    index arrays of _dp_slices for all of level L when the layout is
+    memoized, and is None when they are built slice by slice.
     """
 
     offsets: np.ndarray
     levels: list[np.ndarray]
     missing: list[np.ndarray]
+    plan: list[tuple[np.ndarray, np.ndarray]] | None
 
 
-def _subset_tables(lengths) -> _Subsets:
-    """Build the subset tables by doubling, one block at a time.
+class _Memo:
+    """Read-only tables shared across calls, least recently used first out.
+
+    Holds at most limit bytes of arrays and empties itself whenever
+    _DP_SLICE_CELLS or _DP_CELL_BUDGET changes. A lock keeps its
+    bookkeeping whole when threads solve at once.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+        self.budgets = None
+        self._lock = threading.RLock()
+
+    def clear(self):
+        with self._lock:
+            self.entries.clear()
+            self.nbytes = 0
+
+    def get(self, key, build):
+        """The value memoized for key, from build() on a miss."""
+        budgets = (_DP_SLICE_CELLS, _DP_CELL_BUDGET)
+        with self._lock:
+            if self.budgets != budgets:
+                self.clear()
+                self.budgets = budgets
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                return entry[0]
+            value = build()
+            size = 0
+            for array in _arrays(value):
+                array.flags.writeable = False
+                size += array.nbytes
+            self.entries[key] = (value, size)
+            self.nbytes += size
+            while self.nbytes > self.limit:
+                self.nbytes -= self.entries.popitem(last=False)[1][1]
+            return value
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    else:
+        for item in value:
+            yield from _arrays(item)
+
+
+# Layouts whose whole plan, K * 2**(K-1) cells, fits in one slice (K <= 13
+# at the default) share their tables across calls: levels and missing keyed
+# by K, offsets and plan keyed by the block lengths. Larger layouts build
+# them per call and free them on return, since their tables run to
+# megabytes (about 15 MB at K=20) and would stay in every later call's
+# peak memory.
+_memo = _Memo(8 << 20)
+
+
+def _level_tables(k: int):
+    """levels and missing for K blocks, built by doubling one block at a time.
 
     Adding block i appends a copy of every subset with bit i set. A subset
     without it gains i as its last absent block, so every list stays in
     ascending order.
     """
-    offsets = np.zeros(1, dtype=np.int32)
     levels = [np.zeros(1, dtype=np.int32)]
     missing = [np.zeros((1, 0), dtype=np.uint8)]
-    for i, length in enumerate(lengths):
-        offsets = np.concatenate((offsets, offsets + length))
+    for i in range(k):
         grown_levels, grown_missing = [], []
         for level in range(i + 2):
             subsets, absent = [], []
@@ -257,7 +320,38 @@ def _subset_tables(lengths) -> _Subsets:
             grown_levels.append(np.concatenate(subsets))
             grown_missing.append(np.concatenate(absent))
         levels, missing = grown_levels, grown_missing
-    return _Subsets(offsets, levels, missing)
+    return levels, missing
+
+
+def _offsets(lengths) -> np.ndarray:
+    offsets = np.zeros(1, dtype=np.int32)
+    for length in lengths:
+        offsets = np.concatenate((offsets, offsets + length))
+    return offsets
+
+
+def _step_indices(offsets, sel, miss, k: int):
+    """(at, nxt) of _dp_slices for the subsets sel and their absent blocks miss."""
+    off = offsets[sel].astype(np.intp)
+    return off[:, None] * k + miss, sel[:, None] | (1 << np.arange(k))[miss]
+
+
+def _subset_tables(lengths) -> _Subsets:
+    """The subset tables for one tuple of block lengths, from _memo when small."""
+    k = len(lengths)
+    if k * (1 << k) // 2 > _DP_SLICE_CELLS:
+        # Offsets first: built after the level tables, they raised the peak
+        # memory of K=20 solves by about 1.7 MB.
+        offsets = _offsets(lengths)
+        return _Subsets(offsets, *_level_tables(k), None)
+    levels, missing = _memo.get(k, lambda: _level_tables(k))
+
+    def layout():
+        offsets = _offsets(lengths)
+        return offsets, [_step_indices(offsets, levels[i], missing[i], k) for i in range(k)]
+
+    offsets, plan = _memo.get(tuple(lengths), layout)
+    return _Subsets(offsets, levels, missing, plan)
 
 
 def _dp_slices(tables: _Subsets, rows: int):
@@ -270,14 +364,16 @@ def _dp_slices(tables: _Subsets, rows: int):
     reads it. A slice holds at most _DP_SLICE_CELLS candidate cells.
     """
     k = len(tables.levels) - 1
-    bits = 1 << np.arange(k)
     for level in range(k - 1, -1, -1):
         step = max(1, _DP_SLICE_CELLS // ((k - level) * rows))
         for start in range(0, len(tables.levels[level]), step):
             sel = tables.levels[level][start : start + step]
-            off = tables.offsets[sel].astype(np.intp)
-            miss = tables.missing[level][start : start + step]
-            yield sel, off[:, None] * k + miss, sel[:, None] | bits[miss]
+            if tables.plan is None:
+                miss = tables.missing[level][start : start + step]
+                at, nxt = _step_indices(tables.offsets, sel, miss, k)
+            else:
+                at, nxt = (index[start : start + step] for index in tables.plan[level])
+            yield sel, at, nxt
 
 
 def _by_position(contrib: np.ndarray) -> np.ndarray:
@@ -337,18 +433,21 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
     """
     k = contrib_obj.shape[0]
     full = (1 << k) - 1
-    tol = _tol(go[0])
+    tol = _tol(go.item(0))
+    obj, value = contrib_obj.tolist(), go.item
+    if gu is not None:
+        agent, agent_value = contrib_agent.tolist(), gu.item
     state = 0
     order: list[int] = []
     tie = False
     while state != full:
-        off = offsets[state]
-        target = go[state]
+        off = offsets.item(state)
+        target = value(state)
         cands = [
             i
             for i in range(k)
             if not (state >> i) & 1
-            and abs(contrib_obj[i, off] + go[state | (1 << i)] - target) <= tol
+            and abs(obj[i][off] + value(state | (1 << i)) - target) <= tol
         ]
         if not cands:
             raise SolverContractError("internal: reconstruction lost the optimum")
@@ -356,7 +455,7 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
             if gu is None:
                 return None
             tie = True
-            uvals = np.array([contrib_agent[i, off] + gu[state | (1 << i)] for i in cands])
+            uvals = np.array([agent[i][off] + agent_value(state | (1 << i)) for i in cands])
             cands = [i for i, near in zip(cands, _near_best(uvals)) if near]
         choice = cands[0]
         order.append(choice)

@@ -397,3 +397,39 @@ def test_grid_is_bounded_before_it_is_built(runner, e1_path, monkeypatch, comman
     out = runner.invoke(main, [command, e1_path, "--grid", f"0:1:{10**11}"])
     assert out.exit_code == 2, out.output
     assert "grid: points x objects (300000000000) exceed the limit" in out.stderr
+
+
+# The flags each discount curve takes; any other discount flag is stray.
+_OWN_FLAGS = {"dcg": [], "cutoff": ["--cutoff", "2"], "geometric": ["--beta", "0.3"], "custom": ["--weights", "1,0.5,0"]}
+_STRAY = [
+    (kind, flag, value)
+    for kind in _OWN_FLAGS
+    for flag, value in (("--cutoff", "2"), ("--beta", "0.3"), ("--weights", "1,0.5,0"))
+    if flag not in _OWN_FLAGS[kind]
+]
+
+
+@pytest.mark.parametrize("command", ["gen", "ingest"])
+@pytest.mark.parametrize("kind,flag,value", _STRAY)
+def test_a_flag_of_another_discount_curve_exits_2(runner, tmp_path, command, kind, flag, value):
+    if command == "gen":
+        args = ["gen", "--kind", "random", "--seed", "1", "-M", "8", "-K", "4", "-T", "2"]
+    else:
+        log = tmp_path / "log.csv"
+        log.write_text(E1_LOG)
+        args = ["ingest", str(log)]
+    out_path = tmp_path / "out"
+    out = runner.invoke(main, [*args, "--discount", kind, *_OWN_FLAGS[kind], flag, value, "--out", str(out_path)])
+    assert out.exit_code == 2, out.output
+    assert out.stderr == f"error: discount: {flag} does not apply to --discount {kind}\n"
+    assert not out_path.exists()
+
+
+def test_every_stray_discount_flag_is_listed(runner):
+    args = ["gen", "--kind", "random", "--seed", "1", "-M", "8", "-K", "4", "-T", "2"]
+    out = runner.invoke(main, [*args, "--discount", "dcg", "--beta", "0.3", "--cutoff", "2"])
+    assert out.exit_code == 2, out.output
+    assert out.stderr.splitlines() == [
+        "error: discount: --cutoff does not apply to --discount dcg",
+        "error: discount: --beta does not apply to --discount dcg",
+    ]

@@ -4,12 +4,17 @@ The reference below is that recursion as it stood: one step per (level,
 block), each filtering the level's subsets that lack the block. The kernel
 under test takes one step per slice of a level over all absent blocks at
 once, so its value and agent tables must equal the reference bit for bit.
+Layouts of up to 13 blocks take their index plan from a memo shared across
+calls, so the tables are checked on a cold memo and again on a warm one.
 """
 
 import dataclasses
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,13 +102,11 @@ def instances(draw, max_blocks):
 LAMBDAS = st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.75, 1.0))
 
 
-@given(
-    instances(max_blocks=10),
-    st.lists(LAMBDAS, min_size=1, max_size=7),
-    st.sampled_from((1, 7, 64, solver._DP_SLICE_CELLS)),
-)
-@settings(max_examples=150, deadline=None)
-def test_value_and_agent_tables_match_the_per_block_recursion(inst, lams, slice_cells):
+def _check_tables(inst, lams):
+    """Solve the DP tables of inst at lams and compare them with the reference.
+
+    Returns the subset tables the kernel used.
+    """
     part, weights = inst.partition, inst.discount.weights
     u, v = inst.utilities.agent[0], inst.utilities.advocate[0]
     contrib_u = solver._block_contribs(part, np.asarray(u, dtype=float), weights)
@@ -115,16 +118,126 @@ def test_value_and_agent_tables_match_the_per_block_recursion(inst, lams, slice_
 
     want_go = _reference_value_to_go(contrib_obj, offsets, levels)
     tol = np.array([solver._tol(value) for value in want_go[:, 0]])
-    with mock.patch.object(solver, "_DP_SLICE_CELLS", slice_cells):
-        tables = solver._subset_tables(lengths)
-        go = solver._dp_value_to_go(contrib_obj, tables)
-        gu = solver._dp_agent_to_go(contrib_obj, contrib_u, go, tables, tol)
+    tables = solver._subset_tables(lengths)
+    go = solver._dp_value_to_go(contrib_obj, tables)
+    gu = solver._dp_agent_to_go(contrib_obj, contrib_u, go, tables, tol)
     assert _bits(go.T) == _bits(want_go)
     for r in range(len(lams)):
         want_gu = _reference_agent_to_go(
             contrib_obj[r], contrib_u, want_go[r], offsets, levels, tol[r]
         )
         assert _bits(gu[:, r]) == _bits(want_gu), r
+    return tables
+
+
+def _memoized(k):
+    """Whether a K-block layout keeps its plan: all of it fits in one slice."""
+    return k * 2 ** (k - 1) <= solver._DP_SLICE_CELLS
+
+
+@given(
+    instances(max_blocks=10),
+    st.lists(LAMBDAS, min_size=1, max_size=3),
+    st.lists(LAMBDAS, min_size=4, max_size=40),
+    st.sampled_from((1, 7, 64, 512, 4096, solver._DP_SLICE_CELLS)),
+)
+@settings(max_examples=150, deadline=None)
+def test_value_and_agent_tables_match_the_per_block_recursion(inst, cold, warm, slice_cells):
+    # Each layout is solved cold, then warm with more rows, which slices a
+    # memoized plan with a smaller step than the cold solve that built it.
+    lengths = inst.partition.block_lengths()
+    with mock.patch.object(solver, "_DP_SLICE_CELLS", slice_cells):
+        solver._memo.clear()
+        built = _check_tables(inst, cold)
+        assert (tuple(lengths) in solver._memo.entries) == _memoized(len(lengths))
+        reused = _check_tables(inst, warm)
+    if _memoized(len(lengths)):
+        assert reused.plan is built.plan
+    else:
+        assert reused.plan is None
+
+
+def _layout_instance(lengths, seed, discount="cutoff"):
+    rng = np.random.default_rng(seed)
+    m = sum(lengths)
+    u, v = rng.integers(0, 3, m).astype(float), rng.integers(0, 3, m).astype(float)
+    cuts = np.cumsum([0, *lengths]).tolist()
+    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    kind = {"cutoff": {"cutoff": m // 2}, "dcg": {}}
+    d = pp.make_discount(discount, m, **kind[discount])
+    return make_instance(agent=[u], advocate=[v], blocks=blocks, discount=d)
+
+
+def test_thirteen_blocks_are_memoized_and_fourteen_stream():
+    solver._memo.clear()
+    for k in (13, 14):
+        lengths = [1 + i % 3 for i in range(k)]
+        inst = _layout_instance(lengths, seed=k)
+        cold = _check_tables(inst, [0.0, 0.5, 1.0])
+        warm = _check_tables(inst, [0.25] * 9)
+        if k == 13:
+            assert cold.plan is not None and warm.plan is cold.plan
+        else:
+            assert cold.plan is None and warm.plan is None
+    assert max(key if isinstance(key, int) else len(key) for key in solver._memo.entries) == 13
+
+
+def test_memoized_arrays_are_read_only():
+    tables = solver._subset_tables((2, 1, 3))
+    at, nxt = tables.plan[1]
+    for array in (tables.offsets, tables.levels[1], tables.missing[1], at, nxt):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_a_budget_change_empties_the_memo(monkeypatch):
+    solver._subset_tables((2, 1, 3))
+    assert (2, 1, 3) in solver._memo.entries
+    monkeypatch.setattr(solver, "_DP_CELL_BUDGET", 1 << 10)
+    solver._subset_tables((1, 1))
+    assert list(solver._memo.entries) == [2, (1, 1)]
+
+
+def _held_bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    return sum(_held_bytes(item) for item in value)
+
+
+def test_memo_stays_within_its_byte_bound_and_holds_nothing_past_thirteen_blocks(monkeypatch):
+    solver._memo.clear()
+    rng = np.random.default_rng(8)
+    layouts = set()
+    while len(layouts) < 200:
+        k = int(rng.integers(1, 14))
+        cuts = np.sort(rng.choice(np.arange(1, 16), k - 1, replace=False))
+        layouts.add(tuple(np.diff(np.concatenate(([0], cuts, [16]))).tolist()))
+    for seed, lengths in enumerate(sorted(layouts)):
+        pp.solve_grid(_layout_instance(lengths, seed, "dcg"), [0.5], strategy="subset_dp")
+
+    # The K=20 tables must be gone once its solve returns.
+    big = []
+    offsets = solver._offsets
+
+    def spy(lengths):
+        table = offsets(lengths)
+        if len(lengths) == 20:
+            big.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(solver, "_offsets", spy)
+    pp.solve_grid(_layout_instance([1] * 18 + [2, 3], 20, "dcg"), [0.5], strategy="subset_dp")
+    gc.collect()
+    assert len(big) == 1 and big[0]() is None
+
+    held = _held_bytes([value for value, _ in solver._memo.entries.values()])
+    assert held == solver._memo.nbytes
+    assert held <= solver._memo.limit <= 8 << 20
+    # Eviction ran: the distinct K=13 plans alone exceed the bound.
+    assert len(solver._memo.entries) < len(layouts)
+    assert all(
+        (key if isinstance(key, int) else len(key)) <= 13 for key in solver._memo.entries
+    )
 
 
 @given(
