@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import __version__, io
-from .core import ValidationError, allocation_value, refine_partition, singletonize
+from .core import DISCOUNT_KINDS, ValidationError, allocation_value, refine_partition, singletonize
 from .inference import expected_scores, posterior, prior_posterior
 from .metrics import (
     agency_metrics,
@@ -37,7 +37,6 @@ from .solver import (
 )
 
 _KIND_CHOICES = tuple(k.replace("_", "-") for k in KINDS)
-_DISCOUNT_CHOICES = ("dcg", "cutoff", "geometric", "custom")
 
 
 def _guard(fn):
@@ -112,24 +111,25 @@ def _parse_split(text: str) -> dict[int, list[int]]:
     return spec
 
 
-def _discount_config(kind, cutoff, beta, weights) -> tuple[str, dict] | None:
-    """The --discount curve and its parameters; a flag of another curve is an error."""
-    # (curve, the flag it owns, the flag's value)
-    owned = (("cutoff", "--cutoff", cutoff), ("geometric", "--beta", beta), ("custom", "--weights", weights))
+def _discount_config(kind, **values) -> tuple[str, dict] | None:
+    """The --discount curve and its parameters, each given by the flag named
+    after it; a flag of another curve is an error."""
     problems = []
-    for curve, flag, value in owned:
-        if curve == kind and value is None:
-            problems.append(f"discount: {kind} requires {flag}")
-        elif curve != kind and value is not None:
-            where = "requires --discount" if kind is None else f"does not apply to --discount {kind}"
-            problems.append(f"discount: {flag} {where}")
+    for curve, names in DISCOUNT_KINDS.items():
+        for name in names:
+            if curve == kind and values[name] is None:
+                problems.append(f"discount: {kind} requires --{name}")
+            elif curve != kind and values[name] is not None:
+                where = "requires --discount" if kind is None else f"does not apply to --discount {kind}"
+                problems.append(f"discount: --{name} {where}")
     if problems:
         raise ValidationError(problems)
     if kind is None:
         return None
-    if kind == "custom":
-        return kind, {"weights": list(_parse_floats(weights, "weights"))}
-    return kind, {"cutoff": {"cutoff": cutoff}, "geometric": {"beta": beta}}.get(kind, {})
+    params = {name: values[name] for name in DISCOUNT_KINDS[kind]}
+    if "weights" in params:
+        params["weights"] = list(_parse_floats(params["weights"], "weights"))
+    return kind, params
 
 
 def _belief(instance, signal):
@@ -144,7 +144,7 @@ def _discount_options(fn):
     fn = click.option(
         "--discount",
         "discount_kind",
-        type=click.Choice(_DISCOUNT_CHOICES),
+        type=click.Choice(tuple(DISCOUNT_KINDS)),
         default=None,
         help="Discount curve family.",
     )(fn)
@@ -189,7 +189,7 @@ def gen_cmd(kind, preset_name, seed, objects, blocks, types, signals, discount_k
         types=types,
         signals=signals,
         preset_name=preset_name,
-        discount=_discount_config(discount_kind, cutoff, beta, weights),
+        discount=_discount_config(discount_kind, cutoff=cutoff, beta=beta, weights=weights),
     )
     instance = generate(spec)
     text = io.canonical_json(io.instance_to_document(instance), float_renderer=io.exact_float) + "\n"
@@ -286,12 +286,7 @@ def solve_cmd(input, lam, strategy, signal, fmt, out, summary):
     if fmt == "json":
         text = io.render_report("solve", io.instance_digest(instance), io.solve_payload(result, instance))
     else:
-        ids = instance.catalog.objects
-        block_of = {i: b for b, block in enumerate(instance.partition.blocks) for i in block}
-        text = io.csv_table(
-            ("position", "object_id", "block_index"),
-            ((pos, ids[i], block_of[i]) for pos, i in enumerate(result.allocation.object_order)),
-        )
+        text = io.ranking_csv(result, instance)
     _emit(text, out)
     _note(
         summary,
@@ -336,9 +331,8 @@ def frontier_cmd(input, grid, strategy, signal, fmt, out, summary):
     if fmt == "csv":
         text = io.frontier_csv(front)
     else:
-        payload = io.frontier_payload(front)
-        payload["critical_lambda"] = critical_lambda(front) if len(front.points) >= 3 else None
-        text = io.render_report("frontier", io.instance_digest(instance), payload)
+        critical = critical_lambda(front) if len(front.points) >= 3 else None
+        text = io.render_report("frontier", io.instance_digest(instance), io.frontier_payload(front, critical))
     _emit(text, out)
     pulls = [p.pull for p in front.points]
     _note(
@@ -369,13 +363,7 @@ def refine_compare_cmd(input, split_spec, grid, strategy, fmt, out, summary):
             "refine-compare", io.instance_digest(instance), io.refine_payload(comparison)
         )
     else:
-        text = io.csv_table(
-            ("lambda", "base_objective", "refined_objective", "delta"),
-            (
-                [io.render_float(x) for x in (p.lam, p.base_objective, p.refined_objective, p.delta)]
-                for p in comparison.points
-            ),
-        )
+        text = io.refine_csv(comparison)
     _emit(text, out)
     deltas = [p.delta for p in comparison.points]
     strict = sum(1 for d in deltas if d > 0.0)
@@ -400,10 +388,7 @@ def noise_sweep_cmd(input, epsilons, strategy, fmt, out, summary):
     if fmt == "json":
         text = io.render_report("noise-sweep", io.instance_digest(instance), io.noise_payload(points))
     else:
-        text = io.csv_table(
-            ("epsilon", "avg_U1", "avg_V0"),
-            ([io.render_float(x) for x in (p.epsilon, p.avg_u1, p.avg_v0)] for p in points),
-        )
+        text = io.noise_csv(points)
     _emit(text, out)
     _note(
         summary,
@@ -423,7 +408,7 @@ def noise_sweep_cmd(input, epsilons, strategy, fmt, out, summary):
 @_guard
 def ingest_cmd(log, lam, strategy, fmt, discount_kind, cutoff, beta, weights, out, summary):
     """Turn a relevance log into per-user instances and metrics."""
-    config = _discount_config(discount_kind, cutoff, beta, weights) or ("dcg", {})
+    config = _discount_config(discount_kind, cutoff=cutoff, beta=beta, weights=weights) or ("dcg", {})
     rows = io.read_relevance_log(log)
     users = io.ingest_relevance_log(rows, discount_kind=config[0], discount_params=config[1])
     entries = []
@@ -433,11 +418,7 @@ def ingest_cmd(log, lam, strategy, fmt, discount_kind, cutoff, beta, weights, ou
     if fmt == "csv":
         text = io.user_metrics_csv(entries)
     else:
-        payload = [
-            {"user_id": uid, "group_label": label, **io.metrics_payload(m)}
-            for uid, label, m in entries
-        ]
-        text = io.render_report("ingest", io.file_digest(log), payload)
+        text = io.render_report("ingest", io.file_digest(log), io.user_metrics_payload(entries))
     _emit(text, out)
     groups = sorted({label for _, label, _ in entries})
     _note(summary, f"{len(entries)} user(s) across {len(groups)} group(s): {', '.join(groups)}")

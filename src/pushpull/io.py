@@ -10,13 +10,16 @@ always produce identical bytes.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import hashlib
 import io as _io
 import json
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -40,8 +43,8 @@ from .metrics import (
     AgencyMetrics,
     Frontier,
     NoisePoint,
-    PopulationSummary,
     RefineComparison,
+    RefinePoint,
 )
 from .solver import SolveResult
 
@@ -65,9 +68,13 @@ __all__ = [
     "csv_table",
     "metrics_csv",
     "frontier_csv",
+    "noise_csv",
+    "refine_csv",
+    "ranking_csv",
     "user_metrics_csv",
     "read_user_metrics_csv",
     "metrics_payload",
+    "user_metrics_payload",
     "solve_payload",
     "frontier_payload",
     "noise_payload",
@@ -81,16 +88,38 @@ SCHEMA_VERSION = 1
 
 LOG_HEADER = ("user_id", "group_label", "object_id", "block_id", "agent_score", "advocate_score")
 
-FRONTIER_HEADER = (
-    "lambda",
-    "U_lambda",
-    "V_lambda",
-    "P_lambda",
-    "pull",
-    "push",
-    "degenerate_pull",
-    "degenerate_push",
-)
+# A report key, in JSON and CSV alike, is the name of the result field it
+# holds, except for these.
+_REPORT_KEYS = {
+    "lam": "lambda",
+    "u_lambda": "U_lambda",
+    "v_lambda": "V_lambda",
+    "p_lambda": "P_lambda",
+    "u_1": "U_1",
+    "v_0": "V_0",
+    "avg_u1": "avg_U1",
+    "avg_v0": "avg_V0",
+    "base_u1": "base_U1",
+    "base_v0": "base_V0",
+    "refined_u1": "refined_U1",
+    "refined_v0": "refined_V0",
+    "strategy_used": "strategy",
+}
+
+
+@functools.cache
+def _columns(cls, omit=()) -> tuple[tuple[str, str], ...]:
+    """(report key, field name) of each field of a result record but omit."""
+    return tuple(
+        (_REPORT_KEYS.get(f.name, f.name), f.name) for f in dataclasses.fields(cls) if f.name not in omit
+    )
+
+
+# The metrics CSV leaves out the endpoints U_1 and V_0.
+_ENDPOINTS = ("u_1", "v_0")
+_METRICS_CSV_COLUMNS = _columns(AgencyMetrics, _ENDPOINTS)
+
+FRONTIER_HEADER = tuple(key for key, _ in _METRICS_CSV_COLUMNS)
 
 USER_METRICS_HEADER = ("user_id", "group_label") + FRONTIER_HEADER
 
@@ -444,165 +473,140 @@ def ingest_relevance_log(
     return tuple(out)
 
 
-def _metrics_row(m: AgencyMetrics) -> tuple[str, ...]:
-    return (
-        render_float(m.lam),
-        render_float(m.u_lambda),
-        render_float(m.v_lambda),
-        render_float(m.p_lambda),
-        render_float(m.pull),
-        render_float(m.push),
-        _render_bool(m.degenerate_pull),
-        _render_bool(m.degenerate_push),
-    )
-
-
 def csv_table(header: Sequence[str], rows) -> str:
-    """CSV text with one header line; fields that need quoting get quoted."""
+    """CSV text with one header line. Every cell is rendered alike: a bool
+    as true/false, a float by render_float; fields that need it get quoted."""
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(map(_cells, rows))
     return buffer.getvalue()
 
 
+def _cells(row) -> list:
+    return [
+        _render_bool(v) if isinstance(v, (bool, np.bool_))
+        else render_float(v) if isinstance(v, float)
+        else v
+        for v in row
+    ]
+
+
+def _records_csv(columns: Sequence[tuple[str, str]], records) -> str:
+    """One CSV row per record: the fields of columns, under their report keys."""
+    keys, names = zip(*columns)
+    return csv_table(keys, map(operator.attrgetter(*names), records))
+
+
 def metrics_csv(points: Sequence[AgencyMetrics]) -> str:
-    return csv_table(FRONTIER_HEADER, map(_metrics_row, points))
+    return _records_csv(_METRICS_CSV_COLUMNS, points)
 
 
 def frontier_csv(front: Frontier) -> str:
     return metrics_csv(front.points)
 
 
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValidationError(f"csv: expected true/false, got {text!r}")
+def noise_csv(points: Sequence[NoisePoint]) -> str:
+    return _records_csv(_columns(NoisePoint), points)
 
 
-def user_metrics_csv(entries: Sequence[tuple[str, str, AgencyMetrics]]) -> str:
+def refine_csv(comparison: RefineComparison) -> str:
+    return _records_csv(_columns(RefinePoint), comparison.points)
+
+
+def ranking_csv(result: SolveResult, instance: Instance) -> str:
+    """One row per ranked object: its position, id and block index."""
+    ids = instance.catalog.objects
+    block_of = {i: b for b, block in enumerate(instance.partition.blocks) for i in block}
     return csv_table(
-        USER_METRICS_HEADER,
-        ((user_id, group_label) + _metrics_row(m) for user_id, group_label, m in entries),
+        ("position", "object_id", "block_index"),
+        ((pos, ids[i], block_of[i]) for pos, i in enumerate(result.allocation.object_order)),
     )
 
 
+def user_metrics_csv(entries: Sequence[tuple[str, str, AgencyMetrics]]) -> str:
+    row = operator.attrgetter(*(name for _, name in _METRICS_CSV_COLUMNS))
+    return csv_table(
+        USER_METRICS_HEADER, ((user_id, group_label, *row(m)) for user_id, group_label, m in entries)
+    )
+
+
+def _read_cell(text: str, kind: type):
+    """The value of a bool or float cell; a ValueError says what it must be."""
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError("true or false")
+        return text == "true"
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("a number") from None
+    if not math.isfinite(value):
+        raise ValueError("finite")
+    return value
+
+
 def read_user_metrics_csv(path) -> list[tuple[str, str, AgencyMetrics]]:
-    out = []
+    """(user_id, group_label, metrics) per row; U_1 and V_0, which the CSV
+    leaves out, read as nan. Lists every bad cell of the file at once."""
+    kinds = get_type_hints(AgencyMetrics)
+    out, problems = [], []
     for line, record in _read_csv(path, USER_METRICS_HEADER, "csv"):
-        try:
-            metrics = AgencyMetrics(
-                lam=float(record["lambda"]),
-                u_lambda=float(record["U_lambda"]),
-                v_lambda=float(record["V_lambda"]),
-                p_lambda=float(record["P_lambda"]),
-                u_1=math.nan,
-                v_0=math.nan,
-                pull=float(record["pull"]),
-                push=float(record["push"]),
-                degenerate_pull=_parse_bool(record["degenerate_pull"]),
-                degenerate_push=_parse_bool(record["degenerate_push"]),
-            )
-        except ValueError as err:
-            row = list(record.values())
-            raise ValidationError(f"csv: malformed metrics row {row!r}: {err}") from None
-        for field in ("lambda", "U_lambda", "V_lambda", "P_lambda", "pull", "push"):
-            if not math.isfinite(float(record[field])):
-                raise ValidationError(f"csv: line {line}: {field} must be finite, got {record[field]!r}")
-        out.append((record["user_id"], record["group_label"], metrics))
+        values = dict.fromkeys(_ENDPOINTS, math.nan)
+        for key, name in _METRICS_CSV_COLUMNS:
+            try:
+                values[name] = _read_cell(record[key], kinds[name])
+            except ValueError as err:
+                problems.append(f"csv: line {line}: {key} must be {err}, got {record[key]!r}")
+        if not problems:
+            out.append((record["user_id"], record["group_label"], AgencyMetrics(**values)))
+    if problems:
+        raise ValidationError(problems)
     return out
 
 
-def metrics_payload(m: AgencyMetrics) -> dict:
-    return {
-        "lambda": m.lam,
-        "U_lambda": m.u_lambda,
-        "V_lambda": m.v_lambda,
-        "P_lambda": m.p_lambda,
-        "U_1": m.u_1,
-        "V_0": m.v_0,
-        "pull": m.pull,
-        "push": m.push,
-        "degenerate_pull": m.degenerate_pull,
-        "degenerate_push": m.degenerate_push,
-    }
+def _payload(value, omit=()):
+    """A result record as JSON: each field but omit under its report key,
+    records nested in it and sequences of them rendered the same way."""
+    if isinstance(value, (list, tuple)):
+        return [_payload(item) for item in value]
+    out = {}
+    for key, name in _columns(type(value), omit):
+        field = getattr(value, name)
+        nested = isinstance(field, (list, tuple)) or dataclasses.is_dataclass(field)
+        out[key] = _payload(field) if nested else field
+    return out
+
+
+# One name per record kind, the name callers and the span tracer look up.
+metrics_payload = noise_payload = refine_payload = summary_payload = _payload
+
+
+def user_metrics_payload(entries: Sequence[tuple[str, str, AgencyMetrics]]) -> list[dict]:
+    """The JSON form of user_metrics_csv: one record per user."""
+    return [
+        {"user_id": user_id, "group_label": group_label, **metrics_payload(m)}
+        for user_id, group_label, m in entries
+    ]
 
 
 def solve_payload(result: SolveResult, instance: Instance) -> dict:
+    """The result's fields, with its allocation as the block order and the
+    ranking by object id."""
     ids = instance.catalog.objects
     return {
-        "lambda": result.lam,
-        "strategy": result.strategy_used,
-        "objective": result.objective,
-        "agent_value": result.agent_value,
-        "advocate_value": result.advocate_value,
-        "tie_broken": result.tie_broken,
+        **_payload(result, ("allocation",)),
         "block_order": list(result.allocation.block_order),
         "ranking": [ids[i] for i in result.allocation.object_order],
     }
 
 
-def frontier_payload(front: Frontier) -> dict:
+def frontier_payload(front: Frontier, critical_lambda: float | None) -> dict:
     lo, hi, count = front.grid_spec
     return {
         "grid": {"min": lo, "max": hi, "count": count},
         "points": [metrics_payload(p) for p in front.points],
-    }
-
-
-def noise_payload(points: Sequence[NoisePoint]) -> list[dict]:
-    return [
-        {"epsilon": p.epsilon, "avg_U1": p.avg_u1, "avg_V0": p.avg_v0} for p in points
-    ]
-
-
-def refine_payload(comparison: RefineComparison) -> dict:
-    return {
-        "base_U1": comparison.base_u1,
-        "base_V0": comparison.base_v0,
-        "refined_U1": comparison.refined_u1,
-        "refined_V0": comparison.refined_v0,
-        "points": [
-            {
-                "lambda": p.lam,
-                "base_objective": p.base_objective,
-                "refined_objective": p.refined_objective,
-                "delta": p.delta,
-            }
-            for p in comparison.points
-        ],
-    }
-
-
-def _stats_payload(stats) -> dict:
-    return {"mean": stats.mean, "variance": stats.variance, "min": stats.min, "max": stats.max}
-
-
-def summary_payload(summary: PopulationSummary) -> dict:
-    return {
-        "count": summary.count,
-        "pull": _stats_payload(summary.pull),
-        "push": _stats_payload(summary.push),
-        "groups": [
-            {
-                "label": g.label,
-                "count": g.count,
-                "pull": _stats_payload(g.pull),
-                "push": _stats_payload(g.push),
-            }
-            for g in summary.groups
-        ],
-        "gaps": [
-            {
-                "group_a": g.group_a,
-                "group_b": g.group_b,
-                "pull_gap": g.pull_gap,
-                "push_gap": g.push_gap,
-            }
-            for g in summary.gaps
-        ],
+        "critical_lambda": critical_lambda,
     }
 
 

@@ -214,11 +214,14 @@ def frontier(
     return Frontier(points=points, grid_spec=(float(grid[0]), float(grid[1]), int(grid[2])))
 
 
-def critical_lambda(front: Frontier, threshold: float = 0.25) -> float | None:
+_CRITICAL_JUMP = 0.25
+
+
+def critical_lambda(front: Frontier) -> float | None:
     """Grid lambda where the largest pull jump lands, or None if too flat.
 
-    The jump must exceed threshold * (pull range over the grid); returns
-    the right endpoint of the jumping step.
+    The jump must exceed _CRITICAL_JUMP * (pull range over the grid);
+    returns the right endpoint of the jumping step.
     """
     points = front.points
     if len(points) < 3:
@@ -229,7 +232,7 @@ def critical_lambda(front: Frontier, threshold: float = 0.25) -> float | None:
         return None
     jumps = [abs(b - a) for a, b in zip(pulls, pulls[1:])]
     best = max(jumps)
-    if best <= threshold * spread:
+    if best <= _CRITICAL_JUMP * spread:
         return None
     return points[jumps.index(best) + 1].lam
 

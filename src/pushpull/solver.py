@@ -27,6 +27,7 @@ holds; solve() is solve_grid() on one lambda.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -240,8 +241,10 @@ class _Subsets(NamedTuple):
 class _Memo:
     """Read-only tables shared across calls, least recently used first out.
 
-    Holds at most limit bytes of arrays and empties itself whenever
-    _DP_SLICE_CELLS or _DP_CELL_BUDGET changes. A lock keeps its
+    Holds at most limit bytes and empties itself whenever _DP_SLICE_CELLS
+    or _DP_CELL_BUDGET changes. An entry counts sys.getsizeof of its value
+    and of every list, tuple and array in it; an array that owns its data,
+    as every memoized one does, counts that data too. A lock keeps its
     bookkeeping whole when threads solve at once.
     """
 
@@ -270,9 +273,10 @@ class _Memo:
                 return entry[0]
             value = build()
             size = 0
-            for array in _arrays(value):
-                array.flags.writeable = False
-                size += array.nbytes
+            for node in _nodes(value):
+                if isinstance(node, np.ndarray):
+                    node.flags.writeable = False
+                size += sys.getsizeof(node)
             self.entries[key] = (value, size)
             self.nbytes += size
             while self.nbytes > self.limit:
@@ -280,12 +284,12 @@ class _Memo:
             return value
 
 
-def _arrays(value):
-    if isinstance(value, np.ndarray):
-        yield value
-    else:
+def _nodes(value):
+    """value and everything in it, down through lists and tuples to arrays."""
+    yield value
+    if not isinstance(value, np.ndarray):
         for item in value:
-            yield from _arrays(item)
+            yield from _nodes(item)
 
 
 # Layouts whose whole plan, K * 2**(K-1) cells, fits in one slice (K <= 13

@@ -316,10 +316,18 @@ def test_validate_reports_bad_instance_fields(runner, tmp_path, document, violat
     assert any(violation in v for v in record["violations"]), record
 
 
+USERS_HEADER = "user_id,group_label,lambda,U_lambda,V_lambda,P_lambda,pull,push,degenerate_pull,degenerate_push"
+USERS_ROW = "u0,g0,0.5,2.5,4,6.5,0.625,1,false,false"
+
+
+def _users_row(**cells):
+    row = dict(zip(USERS_HEADER.split(","), USERS_ROW.split(",")), **cells)
+    return ",".join(row.values())
+
+
 def test_aggregate_short_row_exits_2_naming_the_line(runner, tmp_path):
     users_csv = tmp_path / "users.csv"
-    header = "user_id,group_label,lambda,U_lambda,V_lambda,P_lambda,pull,push,degenerate_pull,degenerate_push"
-    users_csv.write_text(f"{header}\nu0,g0,0.5,2.5,4,6.5,0.625,1,false,false\nu1,g0,0.5\n")
+    users_csv.write_text(f"{USERS_HEADER}\n{USERS_ROW}\nu1,g0,0.5\n")
     out = runner.invoke(main, ["aggregate", str(users_csv)])
     assert out.exit_code == 2, out.output
     assert "line 3" in out.stderr
@@ -328,12 +336,43 @@ def test_aggregate_short_row_exits_2_naming_the_line(runner, tmp_path):
 @pytest.mark.parametrize("field, text", [("pull", "nan"), ("push", "inf"), ("lambda", "-inf"), ("U_lambda", "NaN")])
 def test_aggregate_non_finite_number_exits_2_naming_line_and_field(runner, tmp_path, field, text):
     users_csv = tmp_path / "users.csv"
-    header = "user_id,group_label,lambda,U_lambda,V_lambda,P_lambda,pull,push,degenerate_pull,degenerate_push"
-    row = dict(zip(header.split(","), "u1,g0,0.5,2.5,4,6.5,0.625,1,false,false".split(",")), **{field: text})
-    users_csv.write_text(f"{header}\nu0,g0,0.5,2.5,4,6.5,0.625,1,false,false\n\n{','.join(row.values())}\n")
+    users_csv.write_text(f"{USERS_HEADER}\n{USERS_ROW}\n\n{_users_row(user_id='u1', **{field: text})}\n")
     out = runner.invoke(main, ["aggregate", str(users_csv)])
     assert out.exit_code == 2, out.output
     assert f"csv: line 4: {field} must be finite, got '{text}'" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "field, text, need",
+    [("pull", "abc", "a number"), ("P_lambda", "", "a number"), ("degenerate_push", "maybe", "true or false"),
+     ("degenerate_pull", "True", "true or false")],
+)
+def test_aggregate_bad_cell_exits_2_naming_line_and_column(runner, tmp_path, field, text, need):
+    users_csv = tmp_path / "users.csv"
+    users_csv.write_text(f"{USERS_HEADER}\n{USERS_ROW}\n{_users_row(**{field: text})}\n")
+    out = runner.invoke(main, ["aggregate", str(users_csv)])
+    assert out.exit_code == 2, out.output
+    assert out.stderr == f"error: csv: line 3: {field} must be {need}, got '{text}'\n"
+    assert out.stdout == ""
+
+
+def test_aggregate_lists_every_bad_cell_of_the_file(runner, tmp_path):
+    users_csv = tmp_path / "users.csv"
+    rows = [
+        _users_row(pull="abc", degenerate_pull="maybe"),
+        USERS_ROW,
+        _users_row(push="nan"),
+        _users_row(**{"lambda": "1/2"}),
+    ]
+    users_csv.write_text("\n".join([USERS_HEADER, *rows]) + "\n")
+    out = runner.invoke(main, ["aggregate", str(users_csv)])
+    assert out.exit_code == 2, out.output
+    assert out.stderr.splitlines() == [
+        "error: csv: line 2: pull must be a number, got 'abc'",
+        "error: csv: line 2: degenerate_pull must be true or false, got 'maybe'",
+        "error: csv: line 4: push must be finite, got 'nan'",
+        "error: csv: line 5: lambda must be a number, got '1/2'",
+    ]
 
 
 def _patch_sort(monkeypatch, order):

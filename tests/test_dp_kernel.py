@@ -10,6 +10,7 @@ calls, so the tables are checked on a cold memo and again on a warm one.
 
 import dataclasses
 import gc
+import sys
 import weakref
 from unittest import mock
 
@@ -199,9 +200,12 @@ def test_a_budget_change_empties_the_memo(monkeypatch):
 
 
 def _held_bytes(value):
+    """sys.getsizeof of value and of every list, tuple and array in it."""
+    size = sys.getsizeof(value)
     if isinstance(value, np.ndarray):
-        return value.nbytes
-    return sum(_held_bytes(item) for item in value)
+        assert value.base is None  # the array owns, and getsizeof counts, its data
+        return size
+    return size + sum(_held_bytes(item) for item in value)
 
 
 def test_memo_stays_within_its_byte_bound_and_holds_nothing_past_thirteen_blocks(monkeypatch):
@@ -230,7 +234,7 @@ def test_memo_stays_within_its_byte_bound_and_holds_nothing_past_thirteen_blocks
     gc.collect()
     assert len(big) == 1 and big[0]() is None
 
-    held = _held_bytes([value for value, _ in solver._memo.entries.values()])
+    held = sum(_held_bytes(value) for value, _ in solver._memo.entries.values())
     assert held == solver._memo.nbytes
     assert held <= solver._memo.limit <= 8 << 20
     # Eviction ran: the distinct K=13 plans alone exceed the bound.
