@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,6 +60,37 @@ class ValidationError(ValueError):
             violations = [violations]
         self.violations = tuple(str(v) for v in violations)
         super().__init__("; ".join(self.violations))
+
+
+class _Value:
+    """Equality by value for the model's dataclasses, which hold arrays.
+
+    Two values are equal when they have the same class and every dataclass
+    field matches: ndarray fields by np.array_equal, the rest by ==. Array
+    fields make the values unhashable. Subclasses declare eq=False so the
+    dataclass keeps this rule instead of writing its own.
+    """
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
+
+    __hash__ = None
+
+
+def _id_problems(ids: tuple[str, ...], field: str, noun: str) -> list[str]:
+    """The violations of an identifier list: empty, or with a repeat."""
+    problems = []
+    if not ids:
+        problems.append(f"{field}: must contain at least one {noun}")
+    if len(set(ids)) != len(ids):
+        problems.append(f"{field}: {noun} identifiers must be unique")
+    return problems
 
 
 def _freeze(values, dtype=float) -> np.ndarray:
@@ -160,11 +191,7 @@ class Catalog:
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(str(o) for o in self.objects))
-        problems = []
-        if not self.objects:
-            problems.append("catalog: must contain at least one object")
-        if len(set(self.objects)) != len(self.objects):
-            problems.append("catalog: object identifiers must be unique")
+        problems = _id_problems(self.objects, "catalog", "object")
         if problems:
             raise ValidationError(problems)
 
@@ -213,7 +240,7 @@ class Partition:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscountCurve:
+class DiscountCurve(_Value):
     """Position weights delta_0..delta_{M-1}.
 
     Invariants: delta_0 equals 1, weights are weakly decreasing and lie in
@@ -248,17 +275,6 @@ class DiscountCurve:
 
     def __len__(self) -> int:
         return int(self.weights.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiscountCurve):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.params == other.params
-            and np.array_equal(self.weights, other.weights)
-        )
-
-    __hash__ = None
 
 
 def make_discount(kind: str, horizon: int, /, **params) -> DiscountCurve:
@@ -301,7 +317,7 @@ def make_discount(kind: str, horizon: int, /, **params) -> DiscountCurve:
 
 
 @dataclass(frozen=True, eq=False)
-class TypeSpace:
+class TypeSpace(_Value):
     """Finite latent type space with a prior distribution."""
 
     types: tuple[str, ...]
@@ -311,11 +327,7 @@ class TypeSpace:
         object.__setattr__(self, "types", tuple(str(t) for t in self.types))
         p = _freeze(self.prior)
         object.__setattr__(self, "prior", p)
-        problems = []
-        if not self.types:
-            problems.append("types: must contain at least one type")
-        if len(set(self.types)) != len(self.types):
-            problems.append("types: type identifiers must be unique")
+        problems = _id_problems(self.types, "types", "type")
         if p.ndim != 1 or p.size != len(self.types) or p.size == 0:
             problems.append("prior: must assign one weight per type")
         else:
@@ -329,16 +341,9 @@ class TypeSpace:
     def __len__(self) -> int:
         return len(self.types)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TypeSpace):
-            return NotImplemented
-        return self.types == other.types and np.array_equal(self.prior, other.prior)
-
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
-class UtilityTable:
+class UtilityTable(_Value):
     """Per-type, per-object scores for the agent and the advocate.
 
     Rows index types, columns index catalog objects. All entries are
@@ -364,18 +369,9 @@ class UtilityTable:
         if problems:
             raise ValidationError(problems)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UtilityTable):
-            return NotImplemented
-        return np.array_equal(self.agent, other.agent) and np.array_equal(
-            self.advocate, other.advocate
-        )
-
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
-class Instance:
+class Instance(_Value):
     """One complete allocation problem, validated on construction."""
 
     catalog: Catalog
@@ -395,20 +391,6 @@ class Instance:
     @property
     def type_count(self) -> int:
         return len(self.type_space)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.catalog == other.catalog
-            and self.partition == other.partition
-            and self.type_space == other.type_space
-            and self.utilities == other.utilities
-            and self.discount == other.discount
-            and self.signal_model == other.signal_model
-        )
-
-    __hash__ = None
 
 
 def validate_instance(instance: Instance) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_TOL, Instance, TypeSpace, ValidationError, _freeze
+from .core import PROB_TOL, Instance, TypeSpace, ValidationError, _freeze, _id_problems, _Value
 
 __all__ = [
     "SignalChannel",
@@ -26,7 +26,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class SignalChannel:
+class SignalChannel(_Value):
     """Row-stochastic likelihood: rows are types, columns are signals."""
 
     signals: tuple[str, ...]
@@ -36,11 +36,7 @@ class SignalChannel:
         object.__setattr__(self, "signals", tuple(str(s) for s in self.signals))
         lik = _freeze(self.likelihood)
         object.__setattr__(self, "likelihood", lik)
-        problems = []
-        if not self.signals:
-            problems.append("signals: must contain at least one signal")
-        if len(set(self.signals)) != len(self.signals):
-            problems.append("signals: signal identifiers must be unique")
+        problems = _id_problems(self.signals, "signals", "signal")
         if lik.ndim != 2 or lik.shape[1] != len(self.signals) or lik.size == 0:
             problems.append("likelihood: must have one column per signal")
         else:
@@ -63,18 +59,9 @@ class SignalChannel:
         except ValueError:
             raise ValidationError(f"signal: unknown signal {signal!r}") from None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignalChannel):
-            return NotImplemented
-        return self.signals == other.signals and np.array_equal(
-            self.likelihood, other.likelihood
-        )
-
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
-class PosteriorModel:
+class PosteriorModel(_Value):
     """A distribution over types, tagged with the signal that produced it."""
 
     weights: np.ndarray
@@ -92,15 +79,6 @@ class PosteriorModel:
             problems.append(f"posterior: weights must sum to 1 within {PROB_TOL}")
         if problems:
             raise ValidationError(problems)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PosteriorModel):
-            return NotImplemented
-        return self.observed_signal == other.observed_signal and np.array_equal(
-            self.weights, other.weights
-        )
-
-    __hash__ = None
 
 
 def posterior(type_space: TypeSpace, channel: SignalChannel, signal: str) -> PosteriorModel:

@@ -381,23 +381,24 @@ def file_digest(path) -> str:
 
 def _read_csv(path, header: Sequence[str], label: str) -> list[tuple[int, dict]]:
     """(line number, row) pairs of a UTF-8 CSV file whose first line is exactly
-    `header`; blank rows skip."""
+    `header`; blank rows skip. Every row with the wrong field count is
+    reported, in one error."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             if next(reader, None) != list(header):
                 raise ValidationError(f"{label}: header must be exactly {','.join(header)}")
-            rows = []
+            rows, problems = [], []
             for n, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise ValidationError(
-                        f"{label}: line {n}: expected {len(header)} fields, got {len(row)}"
-                    )
+                    problems.append(f"{label}: line {n}: expected {len(header)} fields, got {len(row)}")
                 rows.append((n, dict(zip(header, row))))
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise ValidationError(f"{label}: cannot read {path}: {err}") from None
+    if problems:
+        raise ValidationError(problems)
     return rows
 
 
@@ -443,8 +444,9 @@ def ingest_relevance_log(
             except (TypeError, ValueError):
                 problems.append(f"row {n}: {field} must be a number, got {row[field]!r}")
                 value = math.nan
-            if not math.isfinite(value) or value < 0.0:
-                problems.append(f"row {n}: {field} must be finite and nonnegative")
+            else:
+                if not math.isfinite(value) or value < 0.0:
+                    problems.append(f"row {n}: {field} must be finite and nonnegative")
             scores.append(value)
         entry["objects"].append(oid)
         entry["blocks"].setdefault(bid, []).append(len(entry["objects"]) - 1)

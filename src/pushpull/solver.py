@@ -241,18 +241,18 @@ class _Subsets(NamedTuple):
 class _Memo:
     """Read-only tables shared across calls, least recently used first out.
 
-    Holds at most limit bytes and empties itself whenever _DP_SLICE_CELLS
-    or _DP_CELL_BUDGET changes. An entry counts sys.getsizeof of its value
-    and of every list, tuple and array in it; an array that owns its data,
-    as every memoized one does, counts that data too. A lock keeps its
-    bookkeeping whole when threads solve at once.
+    Holds at most limit bytes. Its values depend on neither cell budget:
+    level tables are keyed by K, offsets and whole-level plans by the
+    block lengths. An entry counts sys.getsizeof of its value and of every
+    list, tuple and array in it; an array that owns its data, as every
+    memoized one does, counts that data too. A lock keeps its bookkeeping
+    whole when threads solve at once.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.entries: OrderedDict = OrderedDict()
         self.nbytes = 0
-        self.budgets = None
         self._lock = threading.RLock()
 
     def clear(self):
@@ -262,11 +262,7 @@ class _Memo:
 
     def get(self, key, build):
         """The value memoized for key, from build() on a miss."""
-        budgets = (_DP_SLICE_CELLS, _DP_CELL_BUDGET)
         with self._lock:
-            if self.budgets != budgets:
-                self.clear()
-                self.budgets = budgets
             entry = self.entries.get(key)
             if entry is not None:
                 self.entries.move_to_end(key)
@@ -492,7 +488,7 @@ def _block_keys(partition: Partition, scores) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(s[j]) for j in block) for block in partition.blocks)
 
 
-def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_keys, seed_order):
+def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_keys):
     """Adjacent-transposition hill climb over block orders.
 
     Accepts a swap when it improves the objective beyond tolerance, or when
@@ -505,12 +501,7 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
     """
     k = partition.block_count
     lengths = partition.block_lengths()
-    if seed_order is None:
-        order = list(range(k))
-    else:
-        order = [int(i) for i in seed_order]
-        if sorted(order) != list(range(k)):
-            raise ValidationError("seed_order: must be a permutation of the block indices")
+    order = list(range(k))
     cur = 0.0
     off = 0
     for b in order:
@@ -662,7 +653,6 @@ def _local_search_orders(instance, u_bar, v_bar, lams):
             lam * contrib_u + (1.0 - lam) * contrib_v,
             contrib_u,
             _block_keys(partition, combined_scores(lam, u_bar, v_bar)),
-            None,
         )
         for lam in lams
     ]

@@ -206,6 +206,17 @@ def test_ingest_duplicate_rows_exit_2(runner, tmp_path):
     assert out.exit_code == 2
 
 
+def test_ingest_lists_every_row_with_the_wrong_field_count(runner, tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text(E1_LOG.replace("o1,b1,1,4", "o1,b1,1").replace("o2,b2,2,0", "o2,b2,2"))
+    out = runner.invoke(main, ["ingest", str(log)])
+    assert out.exit_code == 2
+    assert out.stderr == (
+        "error: log: line 3: expected 6 fields, got 5\n"
+        "error: log: line 4: expected 6 fields, got 5\n"
+    )
+
+
 def test_summary_goes_to_stderr_not_stdout(runner, e1_path):
     out = runner.invoke(main, ["metrics", e1_path, "--lambda", "0.5", "--format", "csv", "--summary"])
     assert out.exit_code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -248,3 +249,72 @@ def test_empty_prior_and_likelihood_are_validation_errors():
         pp.TypeSpace((), [])
     with pytest.raises(pp.ValidationError, match="likelihood"):
         pp.SignalChannel((), [[]])
+
+
+def _signal_instance():
+    channel = pp.SignalChannel(("s0", "s1"), [[0.5, 0.5], [0.9, 0.1]])
+    return make_instance(
+        agent=[[3, 1, 2], [1, 1, 1]], advocate=[[0, 4, 0], [1, 0, 1]],
+        blocks=((0,), (1, 2)), weights=(1, 0.5, 0), signal_model=channel,
+    )
+
+
+# Each value type: a builder of a fresh copy, and a change of one array field.
+VALUE_TYPES = {
+    "DiscountCurve": (
+        lambda: pp.make_discount("custom", 3, weights=(1, 0.5, 0)),
+        lambda d: dataclasses.replace(d, weights=(1, 0.5, 0.25)),
+    ),
+    "TypeSpace": (
+        lambda: pp.TypeSpace(("t0", "t1"), (0.5, 0.5)),
+        lambda t: dataclasses.replace(t, prior=(0.25, 0.75)),
+    ),
+    "UtilityTable": (
+        lambda: pp.UtilityTable(agent=[[3, 1, 2]], advocate=[[0, 4, 0]]),
+        lambda u: dataclasses.replace(u, agent=[[3, 1, 2.5]]),
+    ),
+    "Instance": (
+        _signal_instance,
+        lambda i: dataclasses.replace(
+            i, utilities=dataclasses.replace(i.utilities, advocate=[[0, 4, 0], [1, 0, 2]])
+        ),
+    ),
+    "SignalChannel": (
+        lambda: pp.SignalChannel(("s0", "s1"), [[0.5, 0.5], [0.9, 0.1]]),
+        lambda c: dataclasses.replace(c, likelihood=[[0.5, 0.5], [0.8, 0.2]]),
+    ),
+    "PosteriorModel": (
+        lambda: pp.PosteriorModel((0.25, 0.75), observed_signal="s0"),
+        lambda p: dataclasses.replace(p, weights=(0.75, 0.25)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_compare_by_value_and_are_unhashable(name):
+    build, change = VALUE_TYPES[name]
+    value, copy = build(), build()
+    assert type(value).__name__ == name
+    assert value is not copy and value == copy and not value != copy
+    changed = change(value)
+    assert changed != value and not changed == value
+    assert value != object() and not value == object()
+    with pytest.raises(TypeError):
+        hash(value)
+
+
+@pytest.mark.parametrize(
+    "build, field, noun",
+    [
+        (lambda ids: pp.Catalog(ids), "catalog", "object"),
+        (lambda ids: pp.TypeSpace(ids, [1.0 / max(1, len(ids))] * len(ids)), "types", "type"),
+        (lambda ids: pp.SignalChannel(ids, [[1.0 / max(1, len(ids))] * len(ids)]), "signals", "signal"),
+    ],
+)
+def test_identifier_lists_must_be_nonempty_and_unique(build, field, noun):
+    with pytest.raises(pp.ValidationError) as err:
+        build(())
+    assert f"{field}: must contain at least one {noun}" in err.value.violations
+    with pytest.raises(pp.ValidationError) as err:
+        build(("a", "a"))
+    assert err.value.violations == (f"{field}: {noun} identifiers must be unique",)

@@ -191,14 +191,6 @@ def test_memoized_arrays_are_read_only():
             array[0] = 0
 
 
-def test_a_budget_change_empties_the_memo(monkeypatch):
-    solver._subset_tables((2, 1, 3))
-    assert (2, 1, 3) in solver._memo.entries
-    monkeypatch.setattr(solver, "_DP_CELL_BUDGET", 1 << 10)
-    solver._subset_tables((1, 1))
-    assert list(solver._memo.entries) == [2, (1, 1)]
-
-
 def _held_bytes(value):
     """sys.getsizeof of value and of every list, tuple and array in it."""
     size = sys.getsizeof(value)

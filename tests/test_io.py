@@ -211,6 +211,10 @@ def test_ingest_rejects_bad_rows():
     assert "group" in text
     assert "nonnegative" in text
     assert "must be a number" in text
+    # the unparsable advocate score is one violation, not also a range one
+    assert [v for v in err.value.violations if "advocate_score" in v] == [
+        "row 3: advocate_score must be a number, got 'oops'"
+    ]
 
 
 def test_ingest_rejects_empty_log():

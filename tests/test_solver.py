@@ -26,16 +26,6 @@ def _solve(scores, discount, blocks=None, strategy="auto"):
     return pp.solve(pp.SolveRequest(inst, 0.0, strategy=strategy)).allocation
 
 
-def _seeded_local_search(part, scores, discount, seed_order):
-    """Local search from a given block order; solve() always seeds with the identity."""
-    s = np.asarray(scores, dtype=float)
-    contrib = solver._block_contribs(part, s, discount.weights)
-    contrib_agent = solver._block_contribs(part, np.zeros(s.size), discount.weights)
-    keys = solver._block_keys(part, s)
-    order, _ = solver._order_local_search(part, contrib, contrib_agent, keys, seed_order)
-    return pp.build_allocation(part, order)
-
-
 def test_combined_scores_blend():
     blend = combined_scores(0.5, [3, 1, 2], [0, 4, 0])
     assert tuple(blend) == (1.5, 2.5, 1.0)
@@ -150,12 +140,18 @@ def test_geometric_index_rejects_bad_beta():
         _solve([1, 2], d, strategy="geometric_index")
 
 
+# Local search starts from the identity block order, so listing the blocks
+# in a seed order starts it from that order.
+
+
 def test_local_search_fixed_point_at_canonical_optimum():
     part = pp.Partition(((0,), (1,), (2,)))
     d = pp.make_discount("custom", 3, weights=(1, 0.5, 0))
     best = _solve([3, 1, 2], d, strategy="sort")
-    again = _seeded_local_search(part, [3, 1, 2], d, best.block_order)
-    assert again.block_order == best.block_order
+    seeded = tuple(part.blocks[b] for b in best.block_order)
+    again = _solve([3, 1, 2], d, seeded, "local_search")
+    assert again.block_order == (0, 1, 2)
+    assert again.object_order == best.object_order
 
 
 def test_local_search_objective_never_below_seed():
@@ -168,7 +164,7 @@ def test_local_search_objective_never_below_seed():
         d = random_discount(rng, m)
         seed = tuple(int(x) for x in rng.permutation(k))
         seeded = pp.build_allocation(part, seed)
-        out = _seeded_local_search(part, scores, d, seed)
+        out = _solve(scores, d, tuple(part.blocks[b] for b in seed), "local_search")
         assert pp.allocation_value(out, scores, d) >= pp.allocation_value(
             seeded, scores, d
         ) - 1e-12
@@ -184,9 +180,8 @@ def test_local_search_singletons_reach_sort_value_any_seed():
             d = pp.make_discount("cutoff", m, cutoff=int(rng.integers(1, m + 1)))
         else:
             d = random_discount(rng, m)
-        part = pp.Partition(tuple((i,) for i in range(m)))
         seed = tuple(int(x) for x in rng.permutation(m))
-        got = _seeded_local_search(part, scores, d, seed)
+        got = _solve(scores, d, tuple((i,) for i in seed), "local_search")
         want = _solve(scores, d, strategy="sort")
         gv = pp.allocation_value(got, scores, d)
         wv = pp.allocation_value(want, scores, d)
