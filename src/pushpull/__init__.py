@@ -9,129 +9,19 @@ their frontier across the blend weight, seeded scenario generators, and
 stable file formats for instances, logs, and reports.
 """
 
-from .core import (
-    PROB_TOL,
-    Allocation,
-    Catalog,
-    DiscountCurve,
-    Instance,
-    Partition,
-    TypeSpace,
-    UtilityTable,
-    ValidationError,
-    allocation_value,
-    build_allocation,
-    enumerate_allocations,
-    is_refinement,
-    make_discount,
-    refine_partition,
-    singletonize,
-    validate_instance,
-)
-from .inference import (
-    PosteriorModel,
-    SignalChannel,
-    expected_scores,
-    garble,
-    posterior,
-    prior_posterior,
-    signal_marginal,
-)
-from .metrics import (
-    AgencyMetrics,
-    Frontier,
-    GroupGap,
-    GroupSummary,
-    MetricStats,
-    NoisePoint,
-    PopulationSummary,
-    RefineComparison,
-    RefinePoint,
-    agency_metrics,
-    aggregate,
-    critical_lambda,
-    frontier,
-    lambda_grid,
-    noise_sweep,
-    refine_compare,
-)
-from .scenarios import (
-    KINDS,
-    PRESETS,
-    ScenarioSpec,
-    generate,
-)
-from .solver import (
-    BRUTE_FORCE_LIMIT,
-    DP_SUBSET_LIMIT,
-    STRATEGIES,
-    TIE_TOL,
-    SolveRequest,
-    SolveResult,
-    SolverContractError,
-    brute_force_oracle,
-    combined_scores,
-    solve,
-    solve_grid,
-)
+from . import core, inference, metrics, scenarios, solver
+from .core import *
+from .inference import *
+from .metrics import *
+from .scenarios import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "PROB_TOL",
-    "TIE_TOL",
-    "BRUTE_FORCE_LIMIT",
-    "DP_SUBSET_LIMIT",
-    "STRATEGIES",
-    "KINDS",
-    "PRESETS",
-    "ValidationError",
-    "SolverContractError",
-    "Catalog",
-    "Partition",
-    "DiscountCurve",
-    "TypeSpace",
-    "UtilityTable",
-    "Instance",
-    "Allocation",
-    "SignalChannel",
-    "PosteriorModel",
-    "ScenarioSpec",
-    "SolveRequest",
-    "SolveResult",
-    "AgencyMetrics",
-    "Frontier",
-    "MetricStats",
-    "GroupSummary",
-    "GroupGap",
-    "PopulationSummary",
-    "NoisePoint",
-    "RefinePoint",
-    "RefineComparison",
-    "make_discount",
-    "allocation_value",
-    "build_allocation",
-    "enumerate_allocations",
-    "refine_partition",
-    "singletonize",
-    "is_refinement",
-    "validate_instance",
-    "posterior",
-    "prior_posterior",
-    "expected_scores",
-    "garble",
-    "signal_marginal",
-    "combined_scores",
-    "solve",
-    "solve_grid",
-    "brute_force_oracle",
-    "agency_metrics",
-    "frontier",
-    "lambda_grid",
-    "critical_lambda",
-    "aggregate",
-    "noise_sweep",
-    "refine_compare",
-    "generate",
-]
+# Each module's __all__ is the list of record; the package re-exports it.
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += inference.__all__
+__all__ += metrics.__all__
+__all__ += scenarios.__all__
+__all__ += solver.__all__

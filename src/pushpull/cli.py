@@ -91,6 +91,7 @@ def _parse_floats(text: str, label: str) -> tuple[float, ...]:
 
 def _parse_split(text: str) -> dict[int, list[int]]:
     spec: dict[int, list[int]] = {}
+    repeated: list[int] = []
     try:
         for part in text.split(";"):
             if not part.strip():
@@ -101,11 +102,16 @@ def _parse_split(text: str) -> dict[int, list[int]]:
             offsets = [int(x) for x in tail.split(",") if x.strip() != ""]
             if not offsets:
                 raise ValueError
-            spec[int(head)] = offsets
+            block = int(head)
+            if block in spec and block not in repeated:
+                repeated.append(block)
+            spec[block] = offsets
     except ValueError:
         raise ValidationError(
             f"split: expected BLOCK:OFFSET[,OFFSET] groups separated by ';', got {text!r}"
         ) from None
+    if repeated:
+        raise ValidationError([f"split: block {b} given more than once" for b in repeated])
     if not spec:
         raise ValidationError("split: empty spec")
     return spec
@@ -160,6 +166,9 @@ def _io_options(fn):
     fn = click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output path.")(fn)
     fn = click.option("--summary", is_flag=True, help="Print a human-readable note on stderr.")(fn)
     return fn
+
+
+_strategy_option = click.option("--strategy", type=click.Choice(STRATEGIES), default="auto")
 
 
 @click.group(name="pushpull")
@@ -274,7 +283,7 @@ def validate_cmd(inputs, oracle, out, summary):
 @main.command(name="solve")
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lambda", "lam", type=float, required=True, help="Platform weight in [0,1].")
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="auto")
+@_strategy_option
 @click.option("--signal", type=str, default=None, help="Condition on one observed signal.")
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")), default="json")
 @_io_options
@@ -299,7 +308,7 @@ def solve_cmd(input, lam, strategy, signal, fmt, out, summary):
 @main.command(name="metrics")
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lambda", "lam", type=float, required=True, help="Platform weight in [0,1].")
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="auto")
+@_strategy_option
 @click.option("--signal", type=str, default=None)
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")), default="json")
 @_io_options
@@ -319,7 +328,7 @@ def metrics_cmd(input, lam, strategy, signal, fmt, out, summary):
 @main.command(name="frontier")
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @click.option("--grid", type=str, default="0:1:101", help="Lambda grid as MIN:MAX:COUNT.")
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="auto")
+@_strategy_option
 @click.option("--signal", type=str, default=None)
 @click.option("--format", "fmt", type=click.Choice(("csv", "json")), default="csv")
 @_io_options
@@ -346,7 +355,7 @@ def frontier_cmd(input, grid, strategy, signal, fmt, out, summary):
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @click.option("--split", "split_spec", type=str, default=None, help="BLOCK:OFFSET[,OFFSET];... (default: singletonize).")
 @click.option("--grid", type=str, default="0:1:101", help="Lambda grid as MIN:MAX:COUNT.")
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="auto")
+@_strategy_option
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")), default="json")
 @_io_options
 @_guard
@@ -377,7 +386,7 @@ def refine_compare_cmd(input, split_spec, grid, strategy, fmt, out, summary):
 @main.command(name="noise-sweep")
 @click.argument("input", type=click.Path(exists=True, dir_okay=False))
 @click.option("--epsilons", type=str, default="0,0.25,0.5,0.75,1", help="Comma-separated garbling levels.")
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="auto")
+@_strategy_option
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")), default="json")
 @_io_options
 @_guard
@@ -401,7 +410,7 @@ def noise_sweep_cmd(input, epsilons, strategy, fmt, out, summary):
 @main.command(name="ingest")
 @click.argument("log", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lambda", "lam", type=float, default=0.5, help="Platform weight in [0,1].")
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="auto")
+@_strategy_option
 @click.option("--format", "fmt", type=click.Choice(("csv", "json")), default="csv")
 @_discount_options
 @_io_options

@@ -38,7 +38,6 @@ __all__ = [
     "refine_partition",
     "singletonize",
     "is_refinement",
-    "validate_instance",
 ]
 
 # Tolerance for checking that probability vectors sum to one.
@@ -382,41 +381,30 @@ class Instance(_Value):
     signal_model: "SignalChannel | None" = None
 
     def __post_init__(self):
-        validate_instance(self)
+        problems = []
+        m = len(self.catalog)
+        t = len(self.type_space)
+        if self.partition.size != m:
+            problems.append(
+                f"partition: covers {self.partition.size} indices but the catalog has {m} objects"
+            )
+        if self.utilities.agent.shape != (t, m):
+            problems.append(
+                f"utilities: shape {self.utilities.agent.shape} does not match {t} types by {m} objects"
+            )
+        if len(self.discount) != m:
+            problems.append(f"discount: horizon {len(self.discount)} does not match catalog size {m}")
+        channel = self.signal_model
+        if channel is not None and channel.likelihood.shape[0] != t:
+            problems.append(
+                f"signal_model: likelihood has {channel.likelihood.shape[0]} rows but there are {t} types"
+            )
+        if problems:
+            raise ValidationError(problems)
 
     @property
     def size(self) -> int:
         return len(self.catalog)
-
-    @property
-    def type_count(self) -> int:
-        return len(self.type_space)
-
-
-def validate_instance(instance: Instance) -> None:
-    """Check cross-component consistency; raises with every violation listed."""
-    problems = []
-    m = len(instance.catalog)
-    t = len(instance.type_space)
-    if instance.partition.size != m:
-        problems.append(
-            f"partition: covers {instance.partition.size} indices but the catalog has {m} objects"
-        )
-    if instance.utilities.agent.shape != (t, m):
-        problems.append(
-            f"utilities: shape {instance.utilities.agent.shape} does not match {t} types by {m} objects"
-        )
-    if len(instance.discount) != m:
-        problems.append(
-            f"discount: horizon {len(instance.discount)} does not match catalog size {m}"
-        )
-    channel = instance.signal_model
-    if channel is not None and channel.likelihood.shape[0] != t:
-        problems.append(
-            f"signal_model: likelihood has {channel.likelihood.shape[0]} rows but there are {t} types"
-        )
-    if problems:
-        raise ValidationError(problems)
 
 
 @dataclass(frozen=True)

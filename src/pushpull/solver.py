@@ -66,8 +66,6 @@ TIE_TOL = 1e-12
 DP_SUBSET_LIMIT = 20
 BRUTE_FORCE_LIMIT = 8
 
-STRATEGIES = ("auto", "sort", "subset_dp", "geometric_index", "local_search", "brute_force")
-
 # Cap on rows * subsets of value-to-go held at once when solving a lambda
 # grid: one row at DP_SUBSET_LIMIT blocks.
 _DP_CELL_BUDGET = 1 << DP_SUBSET_LIMIT
@@ -693,6 +691,9 @@ _TABLE = {
     "local_search": _Strategy(lambda partition, discount: None, _local_search_orders),
     "brute_force": _Strategy(_refuse_brute_force, _brute_force_orders),
 }
+
+# The names a request may give: auto, then each table row in order.
+STRATEGIES = ("auto", *_TABLE)
 
 # auto runs the first of these whose precondition holds.
 _AUTO = ("sort", "geometric_index", "subset_dp", "local_search")

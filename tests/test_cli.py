@@ -162,6 +162,19 @@ def test_refine_compare_split_spec(runner, tmp_path):
     assert all(p["delta"] >= 0 for p in doc["report"]["points"])
 
 
+def test_refine_compare_repeated_split_block_exits_2(runner, tmp_path):
+    path = tmp_path / "inst.json"
+    gen = ["gen", "--kind", "random", "--seed", "1", "-M", "6", "-K", "2", "-T", "2", "--out", str(path)]
+    assert runner.invoke(main, gen).exit_code == 0
+    out = runner.invoke(main, ["refine-compare", str(path), "--split", "0:1;1:1;0:2;1:2;0:3"])
+    assert out.exit_code == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [
+        "error: split: block 0 given more than once",
+        "error: split: block 1 given more than once",
+    ]
+
+
 def test_noise_sweep_requires_signal_model(runner, e1_path):
     out = runner.invoke(main, ["noise-sweep", e1_path])
     assert out.exit_code == 2

@@ -6,9 +6,10 @@ a report. The test stores one sha256 per command over its exit code, stdout
 and stderr, and compares them with the recorded values. The corpus covers
 `gen`, `validate`, `solve`, `metrics`, `frontier`, `refine-compare`,
 `noise-sweep`, `ingest` and `aggregate`, in every `--format` each one has,
-and a few commands that exit 2 or 3. Most commands run with `--summary`,
-so the stderr notes are pinned too. Malformed metrics CSVs are left out:
-`tests/test_cli.py` checks their messages.
+a few commands that exit 2 or 3, and `--help` of the group and of each
+command (`CliRunner` renders help 80 columns wide). Most commands run with
+`--summary`, so the stderr notes are pinned too. Malformed metrics CSVs are
+left out: `tests/test_cli.py` checks their messages.
 
 The digests change only in a change that states which outputs changed and
 why. To re-record after such a change, run
@@ -110,6 +111,9 @@ def commands() -> list[tuple[str, list[str]]]:
     out.append(("aggregate", ["aggregate", "users.csv", "--summary"]))
     out.append(("ingest-cutoff-out", ["ingest", "log.csv", "--lambda", "0.7", *DISCOUNTS["cutoff"], "--out", "users-cutoff.csv"]))
     out.append(("aggregate-cutoff", ["aggregate", "users-cutoff.csv", "--summary"]))
+    out.append(("help", ["--help"]))
+    for command in main.commands:
+        out.append((f"help-{command}", [command, "--help"]))
     return out
 
 
