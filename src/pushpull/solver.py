@@ -73,6 +73,10 @@ _DP_CELL_BUDGET = 1 << DP_SUBSET_LIMIT
 # Cap on subsets * absent blocks * rows in one step of the subset DP.
 _DP_SLICE_CELLS = 1 << 16
 
+# The subset DP splits each subset into its first _DP_LOW_BLOCKS blocks, the
+# low bits, and the rest, the high bits (see _Subsets).
+_DP_LOW_BLOCKS = 10
+
 
 class SolverContractError(RuntimeError):
     """A strategy was asked to run outside its stated preconditions."""
@@ -220,31 +224,44 @@ def _block_contribs(partition: Partition, scores, weights: np.ndarray) -> np.nda
     return contrib
 
 
-class _Subsets(NamedTuple):
-    """Subset tables for one tuple of block lengths; block i is bit i.
+class _Plan(NamedTuple):
+    """The subset-DP index plan of n consecutive blocks of a K-block layout.
 
-    offsets[S] is the summed length of the blocks in S. levels[L] lists the
-    subsets of L blocks in ascending order, and missing[L][j] the blocks
-    absent from levels[L][j], also ascending. plan[L] holds the (at, nxt)
-    index arrays of _dp_slices for all of level L when the layout is
-    memoized, and is None when they are built slice by slice.
+    Bit c of a plan subset is block first + c of the layout. offsets[S] is
+    the summed length of the blocks in S, and levels[L] lists the subsets
+    of L blocks in ascending order. steps[L] holds (at, nxt) for all of
+    level L: for the c-th block absent from levels[L][j], at[j, c] is its
+    row of _by_position's table when placed at offsets[levels[L][j]], and
+    nxt[j, c] the subset after placing it.
     """
 
     offsets: np.ndarray
     levels: list[np.ndarray]
-    missing: list[np.ndarray]
-    plan: list[tuple[np.ndarray, np.ndarray]] | None
+    steps: list[tuple[np.ndarray, np.ndarray]]
+
+
+class _Subsets(NamedTuple):
+    """Subset tables for one tuple of block lengths; block i is bit i.
+
+    The first h = min(K, _DP_LOW_BLOCKS) blocks are the low bits of a
+    subset, the rest its high bits. The subsets that share their high bits
+    H fill one block of 2**h rows of the value table, rows H << h on. A
+    layout of h or fewer blocks is a single block.
+    """
+
+    low: _Plan
+    high: _Plan
 
 
 class _Memo:
     """Read-only tables shared across calls, least recently used first out.
 
     Holds at most limit bytes. Its values depend on neither cell budget:
-    level tables are keyed by K, offsets and whole-level plans by the
-    block lengths. An entry counts sys.getsizeof of its value and of every
-    list, tuple and array in it; an array that owns its data, as every
-    memoized one does, counts that data too. A lock keeps its bookkeeping
-    whole when threads solve at once.
+    level tables are keyed by their block count, plans by their block
+    lengths, K and first block. An entry counts sys.getsizeof of its
+    value and of every list, tuple and array in it; an array that owns its
+    data, as every memoized one does, counts that data too. A lock keeps
+    its bookkeeping whole when threads solve at once.
     """
 
     def __init__(self, limit: int):
@@ -286,21 +303,19 @@ def _nodes(value):
             yield from _nodes(item)
 
 
-# Layouts whose whole plan, K * 2**(K-1) cells, fits in one slice (K <= 13
-# at the default) share their tables across calls: levels and missing keyed
-# by K, offsets and plan keyed by the block lengths. Larger layouts build
-# them per call and free them on return, since their tables run to
-# megabytes (about 15 MB at K=20) and would stay in every later call's
-# peak memory.
+# Every layout takes its plans from here. A plan of n blocks holds
+# 2 * n * 2**(n-1) index cells: about 80 kB each for the low and the high
+# plan of a K=20 layout.
 _memo = _Memo(8 << 20)
 
 
 def _level_tables(k: int):
     """levels and missing for K blocks, built by doubling one block at a time.
 
-    Adding block i appends a copy of every subset with bit i set. A subset
-    without it gains i as its last absent block, so every list stays in
-    ascending order.
+    missing[L][j] lists the blocks absent from levels[L][j]. Adding block i
+    appends a copy of every subset with bit i set. A subset without it
+    gains i as its last absent block, so every list stays in ascending
+    order.
     """
     levels = [np.zeros(1, dtype=np.int32)]
     missing = [np.zeros((1, 0), dtype=np.uint8)]
@@ -328,56 +343,125 @@ def _offsets(lengths) -> np.ndarray:
     return offsets
 
 
-def _step_indices(offsets, sel, miss, k: int):
-    """(at, nxt) of _dp_slices for the subsets sel and their absent blocks miss."""
-    off = offsets[sel].astype(np.intp)
-    return off[:, None] * k + miss, sel[:, None] | (1 << np.arange(k))[miss]
+def _plan(lengths, k: int, first: int) -> _Plan:
+    """The plan of blocks first, first + 1, ... of a K-block layout, whose
+    lengths are lengths."""
+    n = len(lengths)
+    levels, missing = _memo.get(n, lambda: _level_tables(n))
+
+    def build():
+        offsets = _offsets(lengths)
+        steps = []
+        for sel, miss in zip(levels[:n], missing):
+            off = offsets[sel].astype(np.intp)
+            steps.append((off[:, None] * k + first + miss, sel[:, None] | (1 << np.arange(n))[miss]))
+        return offsets, steps
+
+    offsets, steps = _memo.get((tuple(lengths), k, first), build)
+    return _Plan(offsets, levels, steps)
+
+
+# The high part of every layout of h or fewer blocks: one block, at offset 0.
+_ZERO = np.zeros(1, dtype=np.int32)
+_ZERO.flags.writeable = False
+_ONE_BLOCK = _Plan(_ZERO, [_ZERO], [])
 
 
 def _subset_tables(lengths) -> _Subsets:
-    """The subset tables for one tuple of block lengths, from _memo when small."""
     k = len(lengths)
-    if k * (1 << k) // 2 > _DP_SLICE_CELLS:
-        # Offsets first: built after the level tables, they raised the peak
-        # memory of K=20 solves by about 1.7 MB.
-        offsets = _offsets(lengths)
-        return _Subsets(offsets, *_level_tables(k), None)
-    levels, missing = _memo.get(k, lambda: _level_tables(k))
-
-    def layout():
-        offsets = _offsets(lengths)
-        return offsets, [_step_indices(offsets, levels[i], missing[i], k) for i in range(k)]
-
-    offsets, plan = _memo.get(tuple(lengths), layout)
-    return _Subsets(offsets, levels, missing, plan)
+    h = min(k, _DP_LOW_BLOCKS)
+    return _Subsets(_plan(lengths[:h], k, 0), _plan(lengths[h:], k, h) if k > h else _ONE_BLOCK)
 
 
-def _dp_slices(tables: _Subsets, rows: int):
-    """The backward pass of the subset DP, one slice of a level at a time.
+def _plan_slices(plan: _Plan, views, shift=0, merge=False):
+    """The slices of _dp_slices for plan's steps, levels from the top: views
+    are the value tables the plan indexes, and shift is added to at."""
+    n = len(plan.levels) - 1
+    rows = views[0].shape[1]
+    for level in range(n - 1, -1, -1):
+        step = max(1, _DP_SLICE_CELLS // ((n - level) * rows))
+        sel, (at, nxt) = plan.levels[level], plan.steps[level]
+        for start in range(0, len(sel), step):
+            stop = start + step
+            part = at[start:stop] + shift if shift else at[start:stop]
+            yield views, sel[start:stop], part, nxt[start:stop], merge
 
-    Yields (sel, at, nxt) for subsets sel of one level: at[j, c] is the row
-    of _by_position's table for the c-th block absent from sel[j], placed
-    at offset offsets[sel[j]], and nxt[j, c] is the subset after placing
-    it. Levels run from K-1 down to 0, so every nxt is final before any sel
-    reads it. A slice holds at most _DP_SLICE_CELLS candidate cells.
+
+def _dp_slices(tables: _Subsets, *values):
+    """The backward pass of the subset DP, one slice at a time.
+
+    values are (2**K, rows) tables indexed by subset. Yields (views, sel,
+    at, nxt, merge): for each value table a view t, whose t[sel] takes the
+    best candidate of the slice and whose t[nxt[:, c]] is read for the c-th
+    candidate block, whose rows of _by_position's table are at[:, c].
+
+    High levels run from the top. At each, whole-block steps first fill
+    every block of the level from its absent high blocks: there t views the
+    table as blocks of 2**h rows, or as equal pieces of them, sel lists
+    blocks and nxt[j, c] is the block after placing the c-th. Then the low
+    plan runs inside every block of the level, and merge says that its best
+    joins what the whole-block steps left in t[sel]. A single block has no
+    whole-block steps and never merges. Every nxt is final before any sel
+    reads it. A slice holds at most _DP_SLICE_CELLS candidate cells, or one
+    subset.
     """
-    k = len(tables.levels) - 1
-    for level in range(k - 1, -1, -1):
-        step = max(1, _DP_SLICE_CELLS // ((k - level) * rows))
-        for start in range(0, len(tables.levels[level]), step):
-            sel = tables.levels[level][start : start + step]
-            if tables.plan is None:
-                miss = tables.missing[level][start : start + step]
-                at, nxt = _step_indices(tables.offsets, sel, miss, k)
-            else:
-                at, nxt = (index[start : start + step] for index in tables.plan[level])
-            yield sel, at, nxt
+    low, high = tables.low, tables.high
+    h, top = len(low.levels) - 1, len(high.levels) - 1
+    rows = values[0].shape[1]
+    if not top:
+        yield from _plan_slices(low, values)
+        return
+    k = h + top
+    blocks = [v.reshape(-1, 1 << h, rows) for v in values]
+    scaled = low.offsets.astype(np.intp) * k
+    widest = max(at.size for at, _ in low.steps) * rows
+    for level in range(top, -1, -1):
+        hs = high.levels[level]
+        if level < top:
+            # A block that overflows a slice goes in 2**cut equal pieces.
+            at_high, nxt_high = high.steps[level]
+            fit = max(1, _DP_SLICE_CELLS // ((top - level) * rows))
+            cut = max(0, h + 1 - fit.bit_length())
+            pieces = [v.reshape(-1, 1 << (h - cut), rows) for v in values]
+            step = max(1, fit >> h)
+            for start in range(0, len(hs), step):
+                sel, nxt = (index[start : start + step] << cut for index in (hs, nxt_high))
+                col = at_high[start : start + step, :, None]
+                for piece, at in enumerate(np.split(col + scaled, 1 << cut, axis=2)):
+                    yield pieces, sel + piece, at, nxt + piece, False
+        base = high.offsets[hs].astype(np.intp) * k
+        group = min(len(hs), _DP_SLICE_CELLS // widest)
+        if group < 2:
+            for block, shift in zip(hs, base):
+                yield from _plan_slices(low, [b[block] for b in blocks], shift, True)
+            continue
+        # Several blocks per slice: shift the low plan to each of them.
+        for sel_low, (at_low, nxt_low) in zip(low.levels[h - 1 :: -1], low.steps[::-1]):
+            width = at_low.shape[1]
+            for start in range(0, len(hs), group):
+                first = hs[start : start + group, None] << h
+                sel = (first | sel_low).ravel()
+                at = (base[start : start + group, None] + at_low.ravel()).reshape(-1, width)
+                nxt = (first | nxt_low.ravel()).reshape(-1, width)
+                yield values, sel, at, nxt, True
 
 
 def _by_position(contrib: np.ndarray) -> np.ndarray:
     """Block tables (rows, K, M+1) as one ((M+1) * K, rows) array: row off * K + b
     holds block b at offset off for every objective row."""
     return np.ascontiguousarray(contrib.transpose(2, 1, 0)).reshape(-1, contrib.shape[0])
+
+
+def _best(cand: np.ndarray) -> np.ndarray:
+    """cand.max(axis=1). Past a few dozen cells a column, one np.maximum per
+    candidate column: a reduction over that short middle axis runs many
+    times slower."""
+    if cand.size < 64 * cand.shape[1]:
+        return cand.max(axis=1)
+    best = cand[:, 0].copy()
+    for column in range(1, cand.shape[1]):
+        np.maximum(best, cand[:, column], out=best)
+    return best
 
 
 def _dp_value_to_go(contrib: np.ndarray, tables: _Subsets) -> np.ndarray:
@@ -387,17 +471,20 @@ def _dp_value_to_go(contrib: np.ndarray, tables: _Subsets) -> np.ndarray:
     The offset of the next block depends only on the set S (sum of placed
     lengths), never on their order, which is what makes the subset DP
     exact (the Held-Karp recursion). contrib has one (K, M+1) table of
-    block values per objective row r. Each step takes the max over all
-    absent blocks at once; max is exact, so the order of blocks is moot.
+    block values per objective row r. Each step takes the max over a set
+    of absent blocks at once; max is exact, so the order of blocks is moot.
     """
     rows, k, _ = contrib.shape
     flat = _by_position(contrib)
     go = np.full((1 << k, rows), -np.inf)
     go[-1] = 0.0
-    for sel, at, nxt in _dp_slices(tables, rows):
+    for (table,), sel, at, nxt, merge in _dp_slices(tables, go):
         cand = np.take(flat, at, axis=0)
-        cand += np.take(go, nxt, axis=0)
-        go[sel] = cand.max(axis=1)
+        cand += np.take(table, nxt, axis=0)
+        best = _best(cand)
+        if merge:
+            np.maximum(best, table[sel], out=best)
+        table[sel] = best
     return go
 
 
@@ -413,24 +500,33 @@ def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     flat_agent = _by_position(contrib_agent[None])
     gu = np.full(go.shape, -np.inf)
     gu[-1] = 0.0
-    for sel, at, nxt in _dp_slices(tables, go.shape[1]):
+    for (value, agent), sel, at, nxt, merge in _dp_slices(tables, go, gu):
         obj = np.take(flat_obj, at, axis=0)
-        obj += np.take(go, nxt, axis=0)
-        ok = np.abs(obj - go[sel][:, None]) <= tol
-        cand = np.take(flat_agent, at, axis=0) + np.take(gu, nxt, axis=0)
-        gu[sel] = np.where(ok, cand, -np.inf).max(axis=1)
+        obj += np.take(value, nxt, axis=0)
+        obj -= value[sel][:, None]
+        ok = np.abs(obj, out=obj) <= tol
+        cand = np.take(agent, nxt, axis=0)
+        cand += np.take(flat_agent, at, axis=0)
+        cand[~ok] = -np.inf
+        best = _best(cand)
+        if merge:
+            np.maximum(best, agent[sel], out=best)
+        agent[sel] = best
     return gu
 
 
 def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
     """Greedy reconstruction of one DP row along tied-optimal branches.
 
-    go and gu are the row's value and agent tables. Without gu the walk
-    returns None at its first tie, so a row without ties never needs the
-    agent pass.
+    go and gu are the row's value and agent tables. offsets is (low, high,
+    h), lists whose low[S & (2**h - 1)] + high[S >> h] is the summed length
+    of the blocks in S. Without gu the walk returns None at its first tie,
+    so a row without ties never needs the agent pass.
     """
     k = contrib_obj.shape[0]
     full = (1 << k) - 1
+    low, high, h = offsets
+    mask = (1 << h) - 1
     tol = _tol(go.item(0))
     obj, value = contrib_obj.tolist(), go.item
     if gu is not None:
@@ -439,7 +535,7 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
     order: list[int] = []
     tie = False
     while state != full:
-        off = offsets.item(state)
+        off = low[state & mask] + high[state >> h]
         target = value(state)
         cands = [
             i
@@ -468,7 +564,7 @@ def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
     """
     go = _dp_value_to_go(contrib_obj, tables)
     rows = range(len(contrib_obj))
-    offsets = tables.offsets
+    offsets = tables.low.offsets.tolist(), tables.high.offsets.tolist(), len(tables.low.levels) - 1
     orders = [_dp_walk(contrib_obj[r], contrib_agent, go[:, r], offsets) for r in rows]
     tied = [r for r in rows if orders[r] is None]
     if tied:

@@ -380,6 +380,15 @@ def test_aggregate_bad_cell_exits_2_naming_line_and_column(runner, tmp_path, fie
     assert out.stdout == ""
 
 
+def test_ingest_bad_cell_after_blank_lines_exits_2_naming_the_file_line(runner, tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text(E1_LOG.replace("u1,A,o1,b1,1,4\n", "\n\nu1,A,o1,b1,1,oops\n"))
+    out = runner.invoke(main, ["ingest", str(log)])
+    assert out.exit_code == 2, out.output
+    assert out.stderr == "error: log: line 5: advocate_score must be a number, got 'oops'\n"
+    assert out.stdout == ""
+
+
 def test_aggregate_lists_every_bad_cell_of_the_file(runner, tmp_path):
     users_csv = tmp_path / "users.csv"
     rows = [

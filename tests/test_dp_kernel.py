@@ -2,16 +2,16 @@
 
 The reference below is that recursion as it stood: one step per (level,
 block), each filtering the level's subsets that lack the block. The kernel
-under test takes one step per slice of a level over all absent blocks at
-once, so its value and agent tables must equal the reference bit for bit.
-Layouts of up to 13 blocks take their index plan from a memo shared across
+under test splits each subset into low and high bits. It places the absent
+high blocks of a whole block of subsets at once, then runs the low blocks'
+plan inside it one slice at a time, so its value and agent tables must
+equal the reference bit for bit. The plans come from a memo shared across
 calls, so the tables are checked on a cold memo and again on a warm one.
 """
 
 import dataclasses
-import gc
 import sys
-import weakref
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,9 +131,19 @@ def _check_tables(inst, lams):
     return tables
 
 
-def _memoized(k):
-    """Whether a K-block layout keeps its plan: all of it fits in one slice."""
-    return k * 2 ** (k - 1) <= solver._DP_SLICE_CELLS
+def _low_key(lengths):
+    """The memo key of the low plan of a layout: its first h lengths and K."""
+    return tuple(lengths[: solver._DP_LOW_BLOCKS]), len(lengths), 0
+
+
+def _plan_arrays(tables):
+    """Every array of a layout's low and high plans."""
+    for plan in tables:
+        yield plan.offsets
+        yield from plan.levels
+        for at, nxt in plan.steps:
+            yield at
+            yield nxt
 
 
 @given(
@@ -141,21 +151,24 @@ def _memoized(k):
     st.lists(LAMBDAS, min_size=1, max_size=3),
     st.lists(LAMBDAS, min_size=4, max_size=40),
     st.sampled_from((1, 7, 64, 512, 4096, solver._DP_SLICE_CELLS)),
+    st.sampled_from((1, 2, 3, solver._DP_LOW_BLOCKS)),
 )
-@settings(max_examples=150, deadline=None)
-def test_value_and_agent_tables_match_the_per_block_recursion(inst, cold, warm, slice_cells):
+@settings(max_examples=200, deadline=None)
+def test_value_and_agent_tables_match_the_per_block_recursion(inst, cold, warm, slice_cells, low):
     # Each layout is solved cold, then warm with more rows, which slices a
     # memoized plan with a smaller step than the cold solve that built it.
+    # A low width below K splits the layout into blocks over several high
+    # levels.
     lengths = inst.partition.block_lengths()
-    with mock.patch.object(solver, "_DP_SLICE_CELLS", slice_cells):
+    with mock.patch.object(solver, "_DP_SLICE_CELLS", slice_cells), mock.patch.object(
+        solver, "_DP_LOW_BLOCKS", low
+    ):
         solver._memo.clear()
         built = _check_tables(inst, cold)
-        assert (tuple(lengths) in solver._memo.entries) == _memoized(len(lengths))
+        assert _low_key(lengths) in solver._memo.entries
         reused = _check_tables(inst, warm)
-    if _memoized(len(lengths)):
-        assert reused.plan is built.plan
-    else:
-        assert reused.plan is None
+    assert len(built.low.levels) - 1 == min(low, len(lengths))
+    assert all(a is b for a, b in zip(_plan_arrays(reused), _plan_arrays(built), strict=True))
 
 
 def _layout_instance(lengths, seed, discount="cutoff"):
@@ -169,26 +182,32 @@ def _layout_instance(lengths, seed, discount="cutoff"):
     return make_instance(agent=[u], advocate=[v], blocks=blocks, discount=d)
 
 
-def test_thirteen_blocks_are_memoized_and_fourteen_stream():
+def test_sixteen_blocks_match_the_per_block_recursion_in_both_passes():
+    lengths = [1 + i % 3 for i in range(16)]
+    for discount in ("cutoff", "dcg"):
+        tables = _check_tables(_layout_instance(lengths, 16, discount), [0.0, 0.3, 0.5, 1.0])
+        assert len(tables.low.levels) - 1 == solver._DP_LOW_BLOCKS
+
+
+def test_a_layout_past_the_low_width_reuses_the_plan_of_its_first_blocks():
     solver._memo.clear()
-    for k in (13, 14):
-        lengths = [1 + i % 3 for i in range(k)]
-        inst = _layout_instance(lengths, seed=k)
-        cold = _check_tables(inst, [0.0, 0.5, 1.0])
-        warm = _check_tables(inst, [0.25] * 9)
-        if k == 13:
-            assert cold.plan is not None and warm.plan is cold.plan
-        else:
-            assert cold.plan is None and warm.plan is None
-    assert max(key if isinstance(key, int) else len(key) for key in solver._memo.entries) == 13
+    h = solver._DP_LOW_BLOCKS
+    head = [1 + i % 3 for i in range(h)]
+    first = _check_tables(_layout_instance(head + [2, 1, 3, 1], 1), [0.0, 0.5, 1.0])
+    again = _check_tables(_layout_instance(head + [1, 3, 1, 2], 2), [0.25] * 9)
+    assert all(a is b for a, b in zip(_plan_arrays([again.low]), _plan_arrays([first.low]), strict=True))
+    assert again.high.steps is not first.high.steps
+    # Nothing in the memo is wider than h blocks.
+    assert all(
+        (key if isinstance(key, int) else len(key[0])) <= h for key in solver._memo.entries
+    )
 
 
 def test_memoized_arrays_are_read_only():
-    tables = solver._subset_tables((2, 1, 3))
-    at, nxt = tables.plan[1]
-    for array in (tables.offsets, tables.levels[1], tables.missing[1], at, nxt):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    for lengths in ((2, 1, 3), tuple(1 + i % 4 for i in range(14))):
+        for array in _plan_arrays(solver._subset_tables(lengths)):
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 def _held_bytes(value):
@@ -200,40 +219,49 @@ def _held_bytes(value):
     return size + sum(_held_bytes(item) for item in value)
 
 
-def test_memo_stays_within_its_byte_bound_and_holds_nothing_past_thirteen_blocks(monkeypatch):
+def test_memo_stays_within_its_byte_bound_and_evicts_least_recently_used():
     solver._memo.clear()
     rng = np.random.default_rng(8)
     layouts = set()
     while len(layouts) < 200:
-        k = int(rng.integers(1, 14))
-        cuts = np.sort(rng.choice(np.arange(1, 16), k - 1, replace=False))
-        layouts.add(tuple(np.diff(np.concatenate(([0], cuts, [16]))).tolist()))
-    for seed, lengths in enumerate(sorted(layouts)):
+        k = int(rng.integers(1, 17))
+        cuts = np.sort(rng.choice(np.arange(1, 20), k - 1, replace=False))
+        layouts.add(tuple(np.diff(np.concatenate(([0], cuts, [20]))).tolist()))
+    layouts = sorted(layouts)
+    for seed, lengths in enumerate(layouts):
         pp.solve_grid(_layout_instance(lengths, seed, "dcg"), [0.5], strategy="subset_dp")
-
-    # The K=20 tables must be gone once its solve returns.
-    big = []
-    offsets = solver._offsets
-
-    def spy(lengths):
-        table = offsets(lengths)
-        if len(lengths) == 20:
-            big.append(weakref.ref(table))
-        return table
-
-    monkeypatch.setattr(solver, "_offsets", spy)
-    pp.solve_grid(_layout_instance([1] * 18 + [2, 3], 20, "dcg"), [0.5], strategy="subset_dp")
-    gc.collect()
-    assert len(big) == 1 and big[0]() is None
 
     held = sum(_held_bytes(value) for value, _ in solver._memo.entries.values())
     assert held == solver._memo.nbytes
     assert held <= solver._memo.limit <= 8 << 20
-    # Eviction ran: the distinct K=13 plans alone exceed the bound.
-    assert len(solver._memo.entries) < len(layouts)
-    assert all(
-        (key if isinstance(key, int) else len(key)) <= 13 for key in solver._memo.entries
+    # Eviction ran, oldest first: the plans of ten or more blocks alone
+    # exceed the bound.
+    assert _low_key(layouts[0]) not in solver._memo.entries
+    assert _low_key(layouts[-1]) in solver._memo.entries
+
+    # A hit makes an entry the most recently used.
+    table = np.zeros(100)
+    memo = solver._Memo(5 * sys.getsizeof(table) // 2)
+    for key in ("a", "b", "a", "c"):
+        memo.get(key, table.copy)
+    assert list(memo.entries) == ["a", "c"]
+
+
+def test_a_twenty_block_solve_allocates_its_value_table_and_at_most_four_mib_more():
+    # Random scores leave the row untied, so no agent table is built.
+    spec = pp.ScenarioSpec(
+        kind="random", seed=5, objects=24, blocks=20, types=2, discount=("dcg", {})
     )
+    inst = pp.generate(spec)
+    solver._memo.clear()
+    tracemalloc.start()
+    try:
+        [result] = pp.solve_grid(inst, [0.5], strategy="subset_dp")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not result.tie_broken
+    assert peak <= (8 << 20) + (4 << 20)
 
 
 @given(

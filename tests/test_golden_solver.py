@@ -56,8 +56,26 @@ def _near_tie(seed):
     return make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=pp.make_discount(kind, m, **params))
 
 
+def _large(kind, k):
+    # Layouts of 10 to 20 blocks, on both sides of the subset DP's low-block
+    # width: random scores under dcg, integer scores in {0, 1, 2}
+    # (tie-heavy) under dcg, or random scores under a cutoff.
+    rng = np.random.default_rng(1000 + k)
+    m = k + int(rng.integers(1, 5))
+    if kind == "tie-heavy":
+        u, v = rng.integers(0, 3, size=m).tolist(), rng.integers(0, 3, size=m).tolist()
+    else:
+        u, v = (rng.random(m) * 10).tolist(), (rng.random(m) * 10).tolist()
+    if kind == "cutoff":
+        discount = pp.make_discount("cutoff", m, cutoff=int(rng.integers(2, m)))
+    else:
+        discount = pp.make_discount("dcg", m)
+    part = random_partition(rng, m, k)
+    return make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=discount)
+
+
 def corpus():
-    """(name, instance) pairs: 200 seeded instances."""
+    """(name, instance) pairs: 218 seeded instances."""
     for kind in ("aligned", "anti_aligned", "orthogonal", "random"):
         for k in range(1, 10):
             for d, (discount, params) in enumerate(DISCOUNTS):
@@ -73,6 +91,9 @@ def corpus():
         yield f"tie-heavy-{seed}", _tie_heavy(seed)
     for seed in range(34):
         yield f"near-tie-{seed}", _near_tie(seed)
+    for k in (10, 11, 13, 14, 16, 20):
+        for kind in ("random", "tie-heavy", "cutoff"):
+            yield f"large-{kind}-K{k}", _large(kind, k)
 
 
 def digest(instance) -> str:

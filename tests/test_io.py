@@ -195,23 +195,34 @@ def test_ingest_groups_blocks_by_first_appearance():
     assert user.instance.partition.blocks == ((0, 2), (1,))
 
 
-def test_ingest_rejects_bad_rows():
-    rows = [
-        {"user_id": "u", "group_label": "G", "object_id": "x", "block_id": "b",
-         "agent_score": "1", "advocate_score": "1"},
-        {"user_id": "u", "group_label": "G", "object_id": "x", "block_id": "b",
-         "agent_score": "2", "advocate_score": "2"},
-        {"user_id": "u", "group_label": "H", "object_id": "y", "block_id": "b",
-         "agent_score": "-1", "advocate_score": "oops"},
-    ]
+BAD_LOG_ROWS = (
+    "u,G,x,b,1,1\n"
+    "u,G,x,b,2,2\n"
+    "u,H,y,b,-1,oops\n"
+)
+
+
+def test_ingest_rejects_bad_rows(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(",".join(io.LOG_HEADER) + "\n" + BAD_LOG_ROWS)
     with pytest.raises(pp.ValidationError) as err:
-        io.ingest_relevance_log(rows)
+        io.ingest_relevance_log(io.read_relevance_log(path))
     text = "\n".join(err.value.violations)
     assert "duplicate" in text
     assert "group" in text
     assert "nonnegative" in text
     assert "must be a number" in text
-    # the unparsable advocate score is one violation, not also a range one
+    # the unparsable advocate score is one violation, not also a range one,
+    # and it names the file line, as the CSV reader does
+    assert [v for v in err.value.violations if "advocate_score" in v] == [
+        "log: line 4: advocate_score must be a number, got 'oops'"
+    ]
+
+
+def test_ingest_numbers_plain_rows_from_one():
+    rows = [dict(zip(io.LOG_HEADER, line.split(","))) for line in BAD_LOG_ROWS.splitlines()]
+    with pytest.raises(pp.ValidationError) as err:
+        io.ingest_relevance_log(rows)
     assert [v for v in err.value.violations if "advocate_score" in v] == [
         "row 3: advocate_score must be a number, got 'oops'"
     ]
