@@ -233,11 +233,21 @@ class _Plan(NamedTuple):
     level L: for the c-th block absent from levels[L][j], at[j, c] is its
     row of _by_position's table when placed at offsets[levels[L][j]], and
     nxt[j, c] the subset after placing it.
+
+    key is the memo key of the plan. A plan with a limit was asked for the
+    subsets whose offset lies below it; when some subset's offset does not,
+    the plan is cut: its levels and steps keep only the subsets below.
     """
 
     offsets: np.ndarray
     levels: list[np.ndarray]
     steps: list[tuple[np.ndarray, np.ndarray]]
+    key: tuple = ()
+    limit: int | None = None
+
+    @property
+    def cut(self) -> bool:
+        return self.limit is not None and self.limit <= self.offsets[-1]
 
 
 class _Subsets(NamedTuple):
@@ -246,7 +256,9 @@ class _Subsets(NamedTuple):
     The first h = min(K, _DP_LOW_BLOCKS) blocks are the low bits of a
     subset, the rest its high bits. The subsets that share their high bits
     H fill one block of 2**h rows of the value table, rows H << h on. A
-    layout of h or fewer blocks is a single block.
+    layout of h or fewer blocks is a single block. Under a horizon both
+    plans carry it as their limit and are cut to it; each block runs the
+    low plan cut to what its high offset leaves (see _low_plans).
     """
 
     low: _Plan
@@ -258,10 +270,11 @@ class _Memo:
 
     Holds at most limit bytes. Its values depend on neither cell budget:
     level tables are keyed by their block count, plans by their block
-    lengths, K and first block. An entry counts sys.getsizeof of its
-    value and of every list, tuple and array in it; an array that owns its
-    data, as every memoized one does, counts that data too. A lock keeps
-    its bookkeeping whole when threads solve at once.
+    lengths, K and first block, and cut plans by those and their limit. An
+    entry counts sys.getsizeof of its value and of every list, tuple and
+    array in it; an array that owns its data, as every memoized one does,
+    counts that data too. A lock keeps its bookkeeping whole when threads
+    solve at once.
     """
 
     def __init__(self, limit: int):
@@ -305,7 +318,7 @@ def _nodes(value):
 
 # Every layout takes its plans from here. A plan of n blocks holds
 # 2 * n * 2**(n-1) index cells: about 80 kB each for the low and the high
-# plan of a K=20 layout.
+# plan of a K=20 layout; a plan cut to a horizon holds part of that.
 _memo = _Memo(8 << 20)
 
 
@@ -343,9 +356,9 @@ def _offsets(lengths) -> np.ndarray:
     return offsets
 
 
-def _plan(lengths, k: int, first: int) -> _Plan:
+def _plan(lengths, k: int, first: int, limit: int | None = None) -> _Plan:
     """The plan of blocks first, first + 1, ... of a K-block layout, whose
-    lengths are lengths."""
+    lengths are lengths, for the subsets whose offset lies below limit."""
     n = len(lengths)
     levels, missing = _memo.get(n, lambda: _level_tables(n))
 
@@ -357,8 +370,20 @@ def _plan(lengths, k: int, first: int) -> _Plan:
             steps.append((off[:, None] * k + first + miss, sel[:, None] | (1 << np.arange(n))[miss]))
         return offsets, steps
 
-    offsets, steps = _memo.get((tuple(lengths), k, first), build)
-    return _Plan(offsets, levels, steps)
+    key = (tuple(lengths), k, first)
+    offsets, steps = _memo.get(key, build)
+    plan = _Plan(offsets, levels, steps, key, limit)
+    if plan.cut:
+        levels, steps = _memo.get((*key, limit), lambda: _cut(plan))
+        plan = plan._replace(levels=levels, steps=steps)
+    return plan
+
+
+def _cut(plan: _Plan):
+    """The levels and steps of plan's subsets whose offset lies below its limit."""
+    kept = [plan.offsets[sel] < plan.limit for sel in plan.levels]
+    levels = [sel[keep] for sel, keep in zip(plan.levels, kept)]
+    return levels, [(at[keep], nxt[keep]) for (at, nxt), keep in zip(plan.steps, kept)]
 
 
 # The high part of every layout of h or fewer blocks: one block, at offset 0.
@@ -367,10 +392,43 @@ _ZERO.flags.writeable = False
 _ONE_BLOCK = _Plan(_ZERO, [_ZERO], [])
 
 
-def _subset_tables(lengths) -> _Subsets:
+def _horizon(weights: np.ndarray) -> int | None:
+    """P, the number of positive weights, when it is below M; else None.
+
+    The weights decrease weakly from 1 to at least 0, so they are all
+    positive exactly when the last one is.
+    """
+    return None if weights[-1] > 0 else int(np.count_nonzero(weights))
+
+
+def _subset_tables(lengths, horizon: int | None = None) -> _Subsets:
+    """The subset tables of a layout, for the subsets that fill fewer than
+    horizon positions; None solves them all."""
     k = len(lengths)
     h = min(k, _DP_LOW_BLOCKS)
-    return _Subsets(_plan(lengths[:h], k, 0), _plan(lengths[h:], k, h) if k > h else _ONE_BLOCK)
+    low = _plan(lengths[:h], k, 0, horizon)
+    if k == h:
+        return _Subsets(low, _ONE_BLOCK)
+    high = _plan(lengths[h:], k, h, horizon)
+    # Build the cut low plans before a pass allocates its tables: a plan
+    # built inside a pass sits on the heap above them and keeps their
+    # memory from going back to the system. That raised the peak RSS of
+    # the frontier_exact benchmark from 59 to 65 MB.
+    for level in range(len(high.levels)):
+        _low_plans(low, high, level)
+    return _Subsets(low, high)
+
+
+def _low_plans(low: _Plan, high: _Plan, level: int):
+    """(part, plan) pairs for one high level: the blocks of the high subsets
+    high.levels[level][part] run the low plan cut to what their offset
+    leaves of the horizon. Without a horizon one part holds them all.
+    """
+    if low.limit is None:
+        return [(slice(None), low)]
+    # Every limit past the low blocks' total gets the one uncut plan.
+    limits = np.minimum(low.limit - high.offsets[high.levels[level]], low.offsets[-1] + 1)
+    return [(np.flatnonzero(limits == limit), _plan(*low.key, limit)) for limit in np.unique(limits).tolist()]
 
 
 def _plan_slices(plan: _Plan, views, shift=0, merge=False):
@@ -400,10 +458,18 @@ def _dp_slices(tables: _Subsets, *values):
     table as blocks of 2**h rows, or as equal pieces of them, sel lists
     blocks and nxt[j, c] is the block after placing the c-th. Then the low
     plan runs inside every block of the level, and merge says that its best
-    joins what the whole-block steps left in t[sel]. A single block has no
-    whole-block steps and never merges. Every nxt is final before any sel
-    reads it. A slice holds at most _DP_SLICE_CELLS candidate cells, or one
-    subset.
+    joins what the whole-block steps left in t[sel]. The top block and a
+    single block have no whole-block steps and never merge. Every nxt is
+    final before any sel reads it. A slice holds at most _DP_SLICE_CELLS
+    candidate cells, or one subset.
+
+    Under a horizon P only the subsets that fill fewer than P positions are
+    solved: the high plan holds only the blocks whose high offset is below
+    P, each block runs the low plan cut to what its offset leaves of P, and
+    a block whose low plan is cut takes its whole-block steps on the
+    subsets of that plan alone, in flat slices of t = the table. Every
+    other subset keeps the 0.0 that the tables start from, which is its
+    value: every weight it could still reach is 0.
     """
     low, high = tables.low, tables.high
     h, top = len(low.levels) - 1, len(high.levels) - 1
@@ -414,36 +480,47 @@ def _dp_slices(tables: _Subsets, *values):
     k = h + top
     blocks = [v.reshape(-1, 1 << h, rows) for v in values]
     scaled = low.offsets.astype(np.intp) * k
-    widest = max(at.size for at, _ in low.steps) * rows
     for level in range(top, -1, -1):
-        hs = high.levels[level]
-        if level < top:
-            # A block that overflows a slice goes in 2**cut equal pieces.
-            at_high, nxt_high = high.steps[level]
-            fit = max(1, _DP_SLICE_CELLS // ((top - level) * rows))
-            cut = max(0, h + 1 - fit.bit_length())
-            pieces = [v.reshape(-1, 1 << (h - cut), rows) for v in values]
-            step = max(1, fit >> h)
-            for start in range(0, len(hs), step):
-                sel, nxt = (index[start : start + step] << cut for index in (hs, nxt_high))
-                col = at_high[start : start + step, :, None]
-                for piece, at in enumerate(np.split(col + scaled, 1 << cut, axis=2)):
-                    yield pieces, sel + piece, at, nxt + piece, False
-        base = high.offsets[hs].astype(np.intp) * k
-        group = min(len(hs), _DP_SLICE_CELLS // widest)
-        if group < 2:
-            for block, shift in zip(hs, base):
-                yield from _plan_slices(low, [b[block] for b in blocks], shift, True)
-            continue
-        # Several blocks per slice: shift the low plan to each of them.
-        for sel_low, (at_low, nxt_low) in zip(low.levels[h - 1 :: -1], low.steps[::-1]):
-            width = at_low.shape[1]
-            for start in range(0, len(hs), group):
-                first = hs[start : start + group, None] << h
-                sel = (first | sel_low).ravel()
-                at = (base[start : start + group, None] + at_low.ravel()).reshape(-1, width)
-                nxt = (first | nxt_low.ravel()).reshape(-1, width)
-                yield values, sel, at, nxt, True
+        merge = level < top
+        for part, plan in _low_plans(low, high, level):
+            hs = high.levels[level][part]
+            if merge:
+                at_high, nxt_high = (index[part] for index in high.steps[level])
+                fit = max(1, _DP_SLICE_CELLS // ((top - level) * rows))
+                if plan.cut:
+                    below = np.concatenate(plan.levels)
+                    count = len(hs) * len(below)
+                    for start in range(0, count, fit):
+                        j, i = np.divmod(np.arange(start, min(start + fit, count)), len(below))
+                        sub = below[i]
+                        at = at_high[j] + scaled[sub, None]
+                        yield values, hs[j] << h | sub, at, nxt_high[j] << h | sub[:, None], False
+                else:
+                    # A block that overflows a slice goes in 2**cut equal pieces.
+                    cut = max(0, h + 1 - fit.bit_length())
+                    pieces = [v.reshape(-1, 1 << (h - cut), rows) for v in values]
+                    step = max(1, fit >> h)
+                    for start in range(0, len(hs), step):
+                        sel, nxt = (index[start : start + step] << cut for index in (hs, nxt_high))
+                        col = at_high[start : start + step, :, None]
+                        for piece, at in enumerate(np.split(col + scaled, 1 << cut, axis=2)):
+                            yield pieces, sel + piece, at, nxt + piece, False
+            base = high.offsets[hs].astype(np.intp) * k
+            widest = max(at.size for at, _ in plan.steps) * rows
+            group = min(len(hs), _DP_SLICE_CELLS // widest)
+            if group < 2:
+                for block, shift in zip(hs, base):
+                    yield from _plan_slices(plan, [b[block] for b in blocks], shift, merge)
+                continue
+            # Several blocks per slice: shift the low plan to each of them.
+            for sel_low, (at_low, nxt_low) in zip(plan.levels[h - 1 :: -1], plan.steps[::-1]):
+                width = at_low.shape[1]
+                for start in range(0, len(hs), group):
+                    first = hs[start : start + group, None] << h
+                    sel = (first | sel_low).ravel()
+                    at = (base[start : start + group, None] + at_low.ravel()).reshape(-1, width)
+                    nxt = (first | nxt_low.ravel()).reshape(-1, width)
+                    yield values, sel, at, nxt, merge
 
 
 def _by_position(contrib: np.ndarray) -> np.ndarray:
@@ -476,8 +553,7 @@ def _dp_value_to_go(contrib: np.ndarray, tables: _Subsets) -> np.ndarray:
     """
     rows, k, _ = contrib.shape
     flat = _by_position(contrib)
-    go = np.full((1 << k, rows), -np.inf)
-    go[-1] = 0.0
+    go = np.zeros((1 << k, rows))
     for (table,), sel, at, nxt, merge in _dp_slices(tables, go):
         cand = np.take(flat, at, axis=0)
         cand += np.take(table, nxt, axis=0)
@@ -498,8 +574,7 @@ def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     """
     flat_obj = _by_position(contrib_obj)
     flat_agent = _by_position(contrib_agent[None])
-    gu = np.full(go.shape, -np.inf)
-    gu[-1] = 0.0
+    gu = np.zeros(go.shape)
     for (value, agent), sel, at, nxt, merge in _dp_slices(tables, go, gu):
         obj = np.take(flat_obj, at, axis=0)
         obj += np.take(value, nxt, axis=0)
@@ -765,7 +840,7 @@ def _subset_dp_orders(instance, u_bar, v_bar, lams):
     # row each, in chunks that keep rows * subsets within _DP_CELL_BUDGET.
     partition = instance.partition
     contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
-    tables = _subset_tables(partition.block_lengths())
+    tables = _subset_tables(partition.block_lengths(), _horizon(instance.discount.weights))
     chunk = max(1, _DP_CELL_BUDGET >> partition.block_count)
     out = []
     for start in range(0, len(lams), chunk):

@@ -7,6 +7,9 @@ high blocks of a whole block of subsets at once, then runs the low blocks'
 plan inside it one slice at a time, so its value and agent tables must
 equal the reference bit for bit. The plans come from a memo shared across
 calls, so the tables are checked on a cold memo and again on a warm one.
+Under a discount horizon P the kernel solves only the subsets that fill
+fewer than P positions; every other subset must hold the +0.0 that the
+reference computes there.
 """
 
 import dataclasses
@@ -322,3 +325,101 @@ def test_cutoff_frontier_runs_the_agent_pass_once_per_chunk(monkeypatch):
     assert tied > 4
     assert len(passes) <= 4
     assert sum(passes) == tied
+
+
+@st.composite
+def horizon_instances(draw, max_blocks):
+    """Instances under a custom curve with P positive weights, for any P in 1..M.
+
+    The curve falls from 1 through random steps to its P-th weight and is 0
+    after it; P = M leaves no zero tail.
+    """
+    k = draw(st.integers(1, max_blocks), label="blocks")
+    m = draw(st.integers(k, k + 4), label="objects")
+    p = draw(st.integers(1, m), label="horizon")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="tie_heavy"):
+        u, v = rng.integers(0, 3, m).astype(float), rng.integers(0, 3, m).astype(float)
+    else:
+        u, v = rng.random(m) * 10, rng.random(m) * 10
+    positive = np.sort(rng.uniform(0.05, 1.0, p))[::-1]
+    positive[0] = 1.0
+    weights = np.concatenate((positive, np.zeros(m - p))).tolist()
+    part = random_partition(rng, m, k)
+    return make_instance(agent=[u], advocate=[v], blocks=part.blocks, weights=weights)
+
+
+SLICE_CELLS = st.sampled_from((1, 7, 64, 512, 4096, solver._DP_SLICE_CELLS))
+
+
+@given(
+    SLICE_CELLS.flatmap(
+        # Budgets below 512 cells take one Python step per subset or two,
+        # so they are drawn with at most 12 blocks.
+        lambda cells: st.tuples(st.just(cells), horizon_instances(16 if cells >= 512 else 12))
+    ),
+    st.lists(LAMBDAS, min_size=1, max_size=40),
+    st.sampled_from((1, 2, 3, solver._DP_LOW_BLOCKS)),
+)
+@settings(max_examples=60, deadline=None)
+def test_tables_under_a_horizon_match_the_recursion_on_every_subset(case, lams, low):
+    # The kernel solves only the subsets that fill fewer than P positions;
+    # every other subset must hold the +0.0 that the full recursion gives it.
+    slice_cells, inst = case
+    part, weights = inst.partition, inst.discount.weights
+    u, v = inst.utilities.agent[0], inst.utilities.advocate[0]
+    contrib_u = solver._block_contribs(part, np.asarray(u, dtype=float), weights)
+    contrib_v = solver._block_contribs(part, np.asarray(v, dtype=float), weights)
+    rows = np.array(lams)[:, None, None]
+    contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
+    lengths = part.block_lengths()
+    offsets, levels = _reference_offsets(lengths), _reference_levels(len(lengths))
+    want_go = _reference_value_to_go(contrib_obj, offsets, levels)
+    tol = np.array([solver._tol(value) for value in want_go[:, 0]])
+    horizon = solver._horizon(weights)
+    assert (horizon is None) == (weights[-1] > 0)
+    with mock.patch.object(solver, "_DP_SLICE_CELLS", slice_cells), mock.patch.object(
+        solver, "_DP_LOW_BLOCKS", low
+    ):
+        tables = solver._subset_tables(lengths, horizon)
+        go = solver._dp_value_to_go(contrib_obj, tables)
+        gu = solver._dp_agent_to_go(contrib_obj, contrib_u, go, tables, tol)
+    assert _bits(go.T) == _bits(want_go)
+    for r in range(len(lams)):
+        want_gu = _reference_agent_to_go(contrib_obj[r], contrib_u, want_go[r], offsets, levels, tol[r])
+        assert _bits(gu[:, r]) == _bits(want_gu), r
+    past = offsets >= np.count_nonzero(weights)
+    for table in (go, gu):
+        assert not table[past].any() and not np.signbit(table[past]).any()
+
+
+def test_a_cutoff_value_pass_computes_a_fiftieth_of_the_cells_of_dcg(monkeypatch):
+    # Only 231 of the 32768 subsets of this layout fill fewer than 20 of its
+    # 100 positions, so the cutoff pass needs about 1/84 of the cells.
+    spec = pp.ScenarioSpec(
+        kind="random", seed=5, objects=100, blocks=15, types=8, discount=("cutoff", {"cutoff": 20})
+    )
+    cutoff = pp.generate(spec)
+    dcg = dataclasses.replace(cutoff, discount=pp.make_discount("dcg", 100))
+    cells, value_pass = [], []
+    best, value_to_go = solver._best, solver._dp_value_to_go
+
+    def spy_best(cand):
+        if value_pass:
+            cells[-1] += cand.size
+        return best(cand)
+
+    def spy_value_to_go(*args):
+        value_pass.append(True)
+        try:
+            return value_to_go(*args)
+        finally:
+            value_pass.pop()
+
+    monkeypatch.setattr(solver, "_best", spy_best)
+    monkeypatch.setattr(solver, "_dp_value_to_go", spy_value_to_go)
+    for inst in (cutoff, dcg):
+        cells.append(0)
+        pp.solve_grid(inst, [0.5], strategy="subset_dp")
+    assert cells[1] == 15 << 14
+    assert 0 < 50 * cells[0] <= cells[1]

@@ -74,8 +74,34 @@ def _large(kind, k):
     return make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=discount)
 
 
+def _zero_tail(k):
+    # A custom curve that falls as 1 / (n + 1) and then ends in zeros, so its
+    # horizon (the number of positive weights) lies below M without being a
+    # cutoff step. Integer scores at K=14 add ties in front of the horizon.
+    rng = np.random.default_rng(2000 + k)
+    m = k + int(rng.integers(1, 5))
+    horizon = int(rng.integers(2, m // 2 + 2))
+    weights = [1.0 / (n + 1) if n < horizon else 0.0 for n in range(m)]
+    if k == 14:
+        u, v = rng.integers(0, 3, size=m).tolist(), rng.integers(0, 3, size=m).tolist()
+    else:
+        u, v = (rng.random(m) * 10).tolist(), (rng.random(m) * 10).tolist()
+    part = random_partition(rng, m, k)
+    return make_instance(agent=[u], advocate=[v], blocks=part.blocks, weights=weights)
+
+
+def _underflow(k, m=170):
+    # geometric beta=0.01 underflows to 0.0 from position 162 on: a curve kind
+    # that is not a cutoff still has a horizon below M.
+    rng = np.random.default_rng(3000 + k)
+    u, v = (rng.random(m) * 10).tolist(), (rng.random(m) * 10).tolist()
+    part = random_partition(rng, m, k)
+    discount = pp.make_discount("geometric", m, beta=0.01)
+    return make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=discount)
+
+
 def corpus():
-    """(name, instance) pairs: 218 seeded instances."""
+    """(name, instance) pairs: 222 seeded instances."""
     for kind in ("aligned", "anti_aligned", "orthogonal", "random"):
         for k in range(1, 10):
             for d, (discount, params) in enumerate(DISCOUNTS):
@@ -94,6 +120,9 @@ def corpus():
     for k in (10, 11, 13, 14, 16, 20):
         for kind in ("random", "tie-heavy", "cutoff"):
             yield f"large-{kind}-K{k}", _large(kind, k)
+    for k in (8, 14, 20):
+        yield f"large-zero-tail-K{k}", _zero_tail(k)
+    yield "large-geometric0.01-M170-K20", _underflow(20)
 
 
 def digest(instance) -> str:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pushpull as pp
@@ -468,3 +468,47 @@ def test_subset_dp_stays_within_tolerance_of_the_optimum_on_near_tie_scores():
     best = max(pp.allocation_value(a, NEAR_TIE_SCORES, d) for a in pp.enumerate_allocations(part))
     got = pp.solve(request)
     assert best - got.objective <= solver._tol(best)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_subset_dp_matches_brute_force_past_the_weight_horizon(data):
+    # Past the last positive weight P every block adds 0, so both strategies
+    # must serve the blocks there in ascending order, tie-broken when two or
+    # more remain. Lengths in {L, L + 1} (L >= 2), or all 1, let the drawn P
+    # put exactly 0, exactly 1 or at least 2 blocks wholly past P in every
+    # order.
+    k = data.draw(st.integers(2, 8), label="blocks")
+    base = data.draw(st.integers(1, 3), label="length")
+    grow = st.integers(0, 1 if base > 1 else 0)
+    lengths = [base + data.draw(grow, label="grow") for _ in range(k)]
+    m, longest, shortest = sum(lengths), max(lengths), sorted(lengths)[:2]
+    past = data.draw(st.sampled_from((0, 1, 2)), label="blocks past P")
+    lowest, highest = {
+        0: (m - shortest[0] + 1, m),
+        1: (m - sum(shortest) + 1, m - longest),
+        2: (1, m - 2 * longest),
+    }[past]
+    assume(1 <= lowest <= highest)
+    p = data.draw(st.integers(lowest, highest), label="horizon")
+    if data.draw(st.booleans(), label="cutoff"):
+        d = pp.make_discount("cutoff", m, cutoff=p)
+    else:
+        d = pp.make_discount("custom", m, weights=[1.0 / (n + 1) if n < p else 0.0 for n in range(m)])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="tie_heavy"):
+        u, v = rng.integers(0, 3, m).tolist(), rng.integers(0, 3, m).tolist()
+    else:
+        u, v = (rng.random(m) * 10).tolist(), (rng.random(m) * 10).tolist()
+    cuts = np.cumsum([0, *lengths]).tolist()
+    perm = rng.permutation(m).tolist()
+    blocks = [perm[a:b] for a, b in zip(cuts, cuts[1:])]
+    inst = make_instance(agent=[u], advocate=[v], blocks=blocks, discount=d)
+    lams = (0.0, 0.5, 1.0)
+    got = pp.solve_grid(inst, lams, strategy="subset_dp")
+    want = pp.solve_grid(inst, lams, strategy="brute_force")
+    for a, b in zip(got, want):
+        order = a.allocation.block_order
+        starts = np.cumsum([0, *(lengths[i] for i in order)])[:-1]
+        assert min(int(np.sum(starts >= p)), 2) == past
+        assert (order, a.tie_broken) == (b.allocation.block_order, b.tie_broken)
