@@ -11,8 +11,7 @@ scores.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -34,7 +33,6 @@ __all__ = [
     "make_discount",
     "build_allocation",
     "allocation_value",
-    "enumerate_allocations",
     "refine_partition",
     "singletonize",
     "is_refinement",
@@ -437,15 +435,6 @@ def allocation_value(allocation: Allocation, scores, discount: DiscountCurve) ->
         raise ValidationError("allocation: size does not match the score vector")
     order = np.array(allocation.object_order, dtype=np.intp)
     return float(np.dot(discount.weights, s[order]))
-
-
-def enumerate_allocations(partition: Partition) -> Iterator[Allocation]:
-    """Yield every feasible allocation in lexicographic block-order.
-
-    Grows factorially in the block count; intended for oracles and tests.
-    """
-    for perm in itertools.permutations(range(partition.block_count)):
-        yield build_allocation(partition, perm)
 
 
 def refine_partition(partition: Partition, split_spec: Mapping[int, Sequence[int]]) -> Partition:

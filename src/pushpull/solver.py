@@ -234,9 +234,10 @@ class _Plan(NamedTuple):
     row of _by_position's table when placed at offsets[levels[L][j]], and
     nxt[j, c] the subset after placing it.
 
-    key is the memo key of the plan. A plan with a limit was asked for the
+    key is (lengths, K, first). A plan with a limit was asked for the
     subsets whose offset lies below it; when some subset's offset does not,
-    the plan is cut: its levels and steps keep only the subsets below.
+    the plan is cut: its levels and steps keep only the subsets below, and
+    it is memoized under key and limit.
     """
 
     offsets: np.ndarray
@@ -256,9 +257,10 @@ class _Subsets(NamedTuple):
     The first h = min(K, _DP_LOW_BLOCKS) blocks are the low bits of a
     subset, the rest its high bits. The subsets that share their high bits
     H fill one block of 2**h rows of the value table, rows H << h on. A
-    layout of h or fewer blocks is a single block. Under a horizon both
-    plans carry it as their limit and are cut to it; each block runs the
-    low plan cut to what its high offset leaves (see _low_plans).
+    layout of h or fewer blocks is a single block: its high plan has no
+    blocks. Under a horizon both plans carry it as their limit and are cut
+    to it; each block runs the low plan cut to what its high offset leaves
+    (see _low_plans).
     """
 
     low: _Plan
@@ -269,12 +271,11 @@ class _Memo:
     """Read-only tables shared across calls, least recently used first out.
 
     Holds at most limit bytes. Its values depend on neither cell budget:
-    level tables are keyed by their block count, plans by their block
-    lengths, K and first block, and cut plans by those and their limit. An
-    entry counts sys.getsizeof of its value and of every list, tuple and
-    array in it; an array that owns its data, as every memoized one does,
-    counts that data too. A lock keeps its bookkeeping whole when threads
-    solve at once.
+    plans are keyed by their block lengths, K and first block, and cut
+    plans by those and their limit. An entry counts sys.getsizeof of its
+    value and of every list, tuple and array in it; an array that owns its
+    data, as every memoized one does, counts that data too. A lock keeps
+    its bookkeeping whole when threads solve at once.
     """
 
     def __init__(self, limit: int):
@@ -317,79 +318,35 @@ def _nodes(value):
 
 
 # Every layout takes its plans from here. A plan of n blocks holds
-# 2 * n * 2**(n-1) index cells: about 80 kB each for the low and the high
+# (2 + n) * 2**n index cells: about 96 kB each for the low and the high
 # plan of a K=20 layout; a plan cut to a horizon holds part of that.
 _memo = _Memo(8 << 20)
 
 
-def _level_tables(k: int):
-    """levels and missing for K blocks, built by doubling one block at a time.
-
-    missing[L][j] lists the blocks absent from levels[L][j]. Adding block i
-    appends a copy of every subset with bit i set. A subset without it
-    gains i as its last absent block, so every list stays in ascending
-    order.
-    """
-    levels = [np.zeros(1, dtype=np.int32)]
-    missing = [np.zeros((1, 0), dtype=np.uint8)]
-    for i in range(k):
-        grown_levels, grown_missing = [], []
-        for level in range(i + 2):
-            subsets, absent = [], []
-            if level <= i:
-                subsets.append(levels[level])
-                last = np.full((len(levels[level]), 1), i, dtype=np.uint8)
-                absent.append(np.concatenate((missing[level], last), axis=1))
-            if level > 0:
-                subsets.append(levels[level - 1] + (1 << i))
-                absent.append(missing[level - 1])
-            grown_levels.append(np.concatenate(subsets))
-            grown_missing.append(np.concatenate(absent))
-        levels, missing = grown_levels, grown_missing
-    return levels, missing
-
-
-def _offsets(lengths) -> np.ndarray:
-    offsets = np.zeros(1, dtype=np.int32)
-    for length in lengths:
-        offsets = np.concatenate((offsets, offsets + length))
-    return offsets
-
-
 def _plan(lengths, k: int, first: int, limit: int | None = None) -> _Plan:
     """The plan of blocks first, first + 1, ... of a K-block layout, whose
-    lengths are lengths, for the subsets whose offset lies below limit."""
-    n = len(lengths)
-    levels, missing = _memo.get(n, lambda: _level_tables(n))
+    lengths are lengths, for the subsets whose offset lies below limit. The
+    absent blocks of a subset are the zero bits of its row of the bit table."""
+    key = (tuple(lengths), k, first)
+    cut = limit is not None and limit <= sum(key[0])
 
     def build():
-        offsets = _offsets(lengths)
-        steps = []
-        for sel, miss in zip(levels[:n], missing):
-            off = offsets[sel].astype(np.intp)
-            steps.append((off[:, None] * k + first + miss, sel[:, None] | (1 << np.arange(n))[miss]))
-        return offsets, steps
+        n = len(lengths)
+        subsets = np.arange(1 << n)
+        bits = subsets[:, None] >> np.arange(n) & 1
+        offsets = bits @ np.array(key[0], dtype=np.intp)
+        count = bits.sum(axis=1)
+        below = offsets < limit if cut else True
+        levels, steps = [], []
+        for level in range(n + 1):
+            sel = subsets[(count == level) & below]
+            levels.append(sel)
+            if level < n:
+                absent = np.nonzero(bits[sel] == 0)[1].reshape(len(sel), n - level)
+                steps.append((offsets[sel, None] * k + first + absent, sel[:, None] | 1 << absent))
+        return offsets, levels, steps
 
-    key = (tuple(lengths), k, first)
-    offsets, steps = _memo.get(key, build)
-    plan = _Plan(offsets, levels, steps, key, limit)
-    if plan.cut:
-        levels, steps = _memo.get((*key, limit), lambda: _cut(plan))
-        plan = plan._replace(levels=levels, steps=steps)
-    return plan
-
-
-def _cut(plan: _Plan):
-    """The levels and steps of plan's subsets whose offset lies below its limit."""
-    kept = [plan.offsets[sel] < plan.limit for sel in plan.levels]
-    levels = [sel[keep] for sel, keep in zip(plan.levels, kept)]
-    return levels, [(at[keep], nxt[keep]) for (at, nxt), keep in zip(plan.steps, kept)]
-
-
-# The high part of every layout of h or fewer blocks: one block, at offset 0.
-_ZERO = np.zeros(1, dtype=np.int32)
-_ZERO.flags.writeable = False
-_ONE_BLOCK = _Plan(_ZERO, [_ZERO], [])
+    return _Plan(*_memo.get((*key, limit) if cut else key, build), key, limit)
 
 
 def _horizon(weights: np.ndarray) -> int | None:
@@ -407,15 +364,14 @@ def _subset_tables(lengths, horizon: int | None = None) -> _Subsets:
     k = len(lengths)
     h = min(k, _DP_LOW_BLOCKS)
     low = _plan(lengths[:h], k, 0, horizon)
-    if k == h:
-        return _Subsets(low, _ONE_BLOCK)
     high = _plan(lengths[h:], k, h, horizon)
-    # Build the cut low plans before a pass allocates its tables: a plan
-    # built inside a pass sits on the heap above them and keeps their
-    # memory from going back to the system. That raised the peak RSS of
-    # the frontier_exact benchmark from 59 to 65 MB.
-    for level in range(len(high.levels)):
-        _low_plans(low, high, level)
+    if k > h:
+        # Build the cut low plans before a pass allocates its tables: a plan
+        # built inside a pass sits on the heap above them and keeps their
+        # memory from going back to the system. That raised the peak RSS of
+        # the frontier_exact benchmark from 59 to 65 MB.
+        for level in range(len(high.levels)):
+            _low_plans(low, high, level)
     return _Subsets(low, high)
 
 
@@ -431,18 +387,36 @@ def _low_plans(low: _Plan, high: _Plan, level: int):
     return [(np.flatnonzero(limits == limit), _plan(*low.key, limit)) for limit in np.unique(limits).tolist()]
 
 
-def _plan_slices(plan: _Plan, views, shift=0, merge=False):
-    """The slices of _dp_slices for plan's steps, levels from the top: views
-    are the value tables the plan indexes, and shift is added to at."""
+def _plan_slices(plan: _Plan, values):
+    """The slices of _dp_slices for a single block: plan's steps, levels
+    from the top, on the memoized arrays themselves."""
     n = len(plan.levels) - 1
-    rows = views[0].shape[1]
+    rows = values[0].shape[1]
     for level in range(n - 1, -1, -1):
         step = max(1, _DP_SLICE_CELLS // ((n - level) * rows))
         sel, (at, nxt) = plan.levels[level], plan.steps[level]
         for start in range(0, len(sel), step):
             stop = start + step
-            part = at[start:stop] + shift if shift else at[start:stop]
-            yield views, sel[start:stop], part, nxt[start:stop], merge
+            yield values, sel[start:stop], at[start:stop], nxt[start:stop], False
+
+
+def _outer_slices(values, merge, outer, inner):
+    """The slices of _dp_slices for every pair (j, i) of rows of the (sel,
+    at, nxt) triples outer and inner: subset sel_j | sel_i, at_j + at_i and
+    nxt_j | nxt_i, where an at or nxt of one column serves every candidate.
+    A slice takes whole outer rows, or one outer row and part of the inner."""
+    (sel_j, at_j, nxt_j), (sel_i, at_i, nxt_i) = outer, inner
+    if not len(sel_i):
+        return
+    width = max(at_j.shape[1], at_i.shape[1])
+    fit = max(1, _DP_SLICE_CELLS // (width * values[0].shape[1]))
+    group, piece = max(1, fit // len(sel_i)), min(fit, len(sel_i))
+    for j in range(0, len(sel_j), group):
+        sj, aj, nj = (index[j : j + group, None] for index in (sel_j, at_j, nxt_j))
+        for i in range(0, len(sel_i), piece):
+            si, ai, ni = (index[i : i + piece] for index in (sel_i, at_i, nxt_i))
+            sel = (sj | si).ravel()
+            yield values, sel, (aj + ai).reshape(len(sel), width), (nj | ni).reshape(len(sel), width), merge
 
 
 def _dp_slices(tables: _Subsets, *values):
@@ -467,9 +441,9 @@ def _dp_slices(tables: _Subsets, *values):
     solved: the high plan holds only the blocks whose high offset is below
     P, each block runs the low plan cut to what its offset leaves of P, and
     a block whose low plan is cut takes its whole-block steps on the
-    subsets of that plan alone, in flat slices of t = the table. Every
-    other subset keeps the 0.0 that the tables start from, which is its
-    value: every weight it could still reach is 0.
+    subsets of that plan alone, with t = the table. Every other subset
+    keeps the 0.0 that the tables start from, which is its value: every
+    weight it could still reach is 0.
     """
     low, high = tables.low, tables.high
     h, top = len(low.levels) - 1, len(high.levels) - 1
@@ -478,25 +452,20 @@ def _dp_slices(tables: _Subsets, *values):
         yield from _plan_slices(low, values)
         return
     k = h + top
-    blocks = [v.reshape(-1, 1 << h, rows) for v in values]
-    scaled = low.offsets.astype(np.intp) * k
+    scaled = low.offsets * k
     for level in range(top, -1, -1):
         merge = level < top
         for part, plan in _low_plans(low, high, level):
             hs = high.levels[level][part]
             if merge:
                 at_high, nxt_high = (index[part] for index in high.steps[level])
-                fit = max(1, _DP_SLICE_CELLS // ((top - level) * rows))
                 if plan.cut:
                     below = np.concatenate(plan.levels)
-                    count = len(hs) * len(below)
-                    for start in range(0, count, fit):
-                        j, i = np.divmod(np.arange(start, min(start + fit, count)), len(below))
-                        sub = below[i]
-                        at = at_high[j] + scaled[sub, None]
-                        yield values, hs[j] << h | sub, at, nxt_high[j] << h | sub[:, None], False
+                    whole = (hs << h, at_high, nxt_high << h)
+                    yield from _outer_slices(values, False, whole, (below, scaled[below, None], below[:, None]))
                 else:
                     # A block that overflows a slice goes in 2**cut equal pieces.
+                    fit = max(1, _DP_SLICE_CELLS // ((top - level) * rows))
                     cut = max(0, h + 1 - fit.bit_length())
                     pieces = [v.reshape(-1, 1 << (h - cut), rows) for v in values]
                     step = max(1, fit >> h)
@@ -505,22 +474,10 @@ def _dp_slices(tables: _Subsets, *values):
                         col = at_high[start : start + step, :, None]
                         for piece, at in enumerate(np.split(col + scaled, 1 << cut, axis=2)):
                             yield pieces, sel + piece, at, nxt + piece, False
-            base = high.offsets[hs].astype(np.intp) * k
-            widest = max(at.size for at, _ in plan.steps) * rows
-            group = min(len(hs), _DP_SLICE_CELLS // widest)
-            if group < 2:
-                for block, shift in zip(hs, base):
-                    yield from _plan_slices(plan, [b[block] for b in blocks], shift, merge)
-                continue
-            # Several blocks per slice: shift the low plan to each of them.
-            for sel_low, (at_low, nxt_low) in zip(plan.levels[h - 1 :: -1], plan.steps[::-1]):
-                width = at_low.shape[1]
-                for start in range(0, len(hs), group):
-                    first = hs[start : start + group, None] << h
-                    sel = (first | sel_low).ravel()
-                    at = (base[start : start + group, None] + at_low.ravel()).reshape(-1, width)
-                    nxt = (first | nxt_low.ravel()).reshape(-1, width)
-                    yield values, sel, at, nxt, merge
+            first = hs << h
+            blocks = (first, high.offsets[hs, None] * k, first[:, None])
+            for sel, step in zip(plan.levels[h - 1 :: -1], plan.steps[::-1]):
+                yield from _outer_slices(values, merge, blocks, (sel, *step))
 
 
 def _by_position(contrib: np.ndarray) -> np.ndarray:

@@ -149,6 +149,41 @@ def _plan_arrays(tables):
             yield nxt
 
 
+def test_every_plan_matches_the_reference_subsets_offsets_and_steps():
+    # Every block count a plan can have, both first blocks, every limit
+    # that cuts the plan, one that does not, and none; n = 0 is the high
+    # plan of a layout of h or fewer blocks.
+    rng = np.random.default_rng(12)
+    h = solver._DP_LOW_BLOCKS
+    k = 2 * h
+    solver._memo.clear()
+    for n in range(h + 1):
+        lengths = rng.integers(1, 4, n).tolist()
+        total = sum(lengths)
+        offsets, levels = _reference_offsets(lengths), _reference_levels(n)
+        for first in (0, h):
+            uncut = solver._plan(lengths, k, first)
+            for limit in (*range(1, total + 2), None):
+                plan = solver._plan(lengths, k, first, limit)
+                assert plan.cut == (limit is not None and limit <= total)
+                assert (plan.levels is uncut.levels) == (not plan.cut)
+                assert plan.offsets.tolist() == offsets.tolist()
+                kept = [sel[offsets[sel] < (total + 1 if limit is None else limit)] for sel in levels]
+                assert [sel.tolist() for sel in plan.levels] == [sel.tolist() for sel in kept]
+                assert len(plan.steps) == n
+                for level, (sel, (at, nxt)) in enumerate(zip(kept, plan.steps)):
+                    assert at.shape == nxt.shape == (len(sel), n - level)
+                    absent = [[c for c in range(n) if not s >> c & 1] for s in sel.tolist()]
+                    assert at.tolist() == [
+                        [offsets[s] * k + first + c for c in cs] for s, cs in zip(sel.tolist(), absent)
+                    ]
+                    assert nxt.tolist() == [[s | 1 << c for c in cs] for s, cs in zip(sel.tolist(), absent)]
+                if first == 0:
+                    high = solver._subset_tables(lengths, limit).high
+                    assert high.offsets.tolist() == [0]
+                    assert [sel.tolist() for sel in high.levels] == [[0]] and high.steps == []
+
+
 @given(
     instances(max_blocks=10),
     st.lists(LAMBDAS, min_size=1, max_size=3),

@@ -16,9 +16,9 @@ PUBLIC = [
     "SignalChannel", "SolveRequest", "SolveResult", "SolverContractError", "TIE_TOL",
     "TypeSpace", "UtilityTable", "ValidationError", "__version__", "agency_metrics",
     "aggregate", "allocation_value", "brute_force_oracle", "build_allocation",
-    "combined_scores", "critical_lambda", "enumerate_allocations", "expected_scores",
-    "frontier", "garble", "generate", "is_refinement", "lambda_grid", "make_discount",
-    "noise_sweep", "posterior", "prior_posterior", "refine_compare", "refine_partition",
+    "combined_scores", "critical_lambda", "expected_scores", "frontier", "garble",
+    "generate", "is_refinement", "lambda_grid", "make_discount", "noise_sweep",
+    "posterior", "prior_posterior", "refine_compare", "refine_partition",
     "signal_marginal", "singletonize", "solve", "solve_grid",
 ]
 

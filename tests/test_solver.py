@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -465,7 +466,8 @@ def test_index_rules_match_brute_force_on_near_tie_scores(strategy):
 def test_subset_dp_stays_within_tolerance_of_the_optimum_on_near_tie_scores():
     request = _near_tie_request("subset_dp")
     part, d = request.instance.partition, request.instance.discount
-    best = max(pp.allocation_value(a, NEAR_TIE_SCORES, d) for a in pp.enumerate_allocations(part))
+    orders = itertools.permutations(range(part.block_count))
+    best = max(pp.allocation_value(pp.build_allocation(part, o), NEAR_TIE_SCORES, d) for o in orders)
     got = pp.solve(request)
     assert best - got.objective <= solver._tol(best)
 
