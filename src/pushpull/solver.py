@@ -31,6 +31,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -160,53 +161,26 @@ def _near_best(values: np.ndarray) -> np.ndarray:
     return values >= best - _tol(best)
 
 
-def _tiered_order(primary, secondary) -> tuple[list[int], bool]:
+def _tiered_order(primary: np.ndarray, secondary: np.ndarray, stretches) -> tuple[tuple[int, ...], bool]:
     """Order candidates by primary desc, resolving ties per the contract.
 
     Candidates whose primary values chain within tolerance of the first
     member of their group count as tied; inside a group the order is
     secondary desc, and secondary-level ties fall back to ascending index.
+    Each (p, q) in stretches then orders positions p..q-1 by index, as a tie.
     """
-    idx = sorted(range(len(primary)), key=lambda i: (-primary[i], -secondary[i], i))
-    order: list[int] = []
-    tie = False
-    for k, j in _runs([primary[i] for i in idx]):
-        group = sorted(idx[k:j], key=lambda i: (-secondary[i], i))
+    order = np.lexsort((-secondary, -primary)).tolist()
+    agent = secondary.tolist()
+    tie = bool(stretches)
+    for k, j in _runs(primary[order].tolist()):
         if j - k > 1:
             tie = True
-            for g, h in _runs([secondary[i] for i in group]):
+            group = sorted(order[k:j], key=lambda i: (-agent[i], i))
+            for g, h in _runs([agent[i] for i in group]):
                 group[g:h] = sorted(group[g:h])
-        order.extend(group)
-    return order, tie
-
-
-def _order_singleton_blocks(partition: Partition, discount: DiscountCurve, scores, agent):
-    primary = [float(scores[b[0]]) for b in partition.blocks]
-    secondary = [float(agent[b[0]]) for b in partition.blocks]
-    order, tie = _tiered_order(primary, secondary)
-    # Equal-weight stretches of the discount leave both the objective and
-    # the agent value blind to the arrangement inside them, so the
-    # lexicographic step of the contract owns those positions outright.
-    for p, q in _runs(discount.weights.tolist(), lambda weight: 0.0):
-        if q - p > 1:
-            tie = True
-            order[p:q] = sorted(order[p:q])
-    return tuple(order), tie
-
-
-def _order_geometric(partition: Partition, discount: DiscountCurve, scores, agent):
-    # Exchange argument: under geometric weights, placing block B before C
-    # is weakly better iff r(B) >= r(C), so a sort on r is globally optimal.
-    beta = float(discount.params["beta"])
-    primary = []
-    secondary = []
-    for block in partition.blocks:
-        powers = beta ** np.arange(len(block))
-        denom = 1.0 - beta ** len(block)
-        objs = list(block)
-        primary.append(float(np.dot(powers, scores[objs])) / denom)
-        secondary.append(float(np.dot(powers, agent[objs])) / denom)
-    order, tie = _tiered_order(primary, secondary)
+            order[k:j] = group
+    for p, q in stretches:
+        order[p:q] = sorted(order[p:q])
     return tuple(order), tie
 
 
@@ -551,13 +525,15 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
     """Greedy reconstruction of one DP row along tied-optimal branches.
 
     go and gu are the row's value and agent tables. offsets is (low, high,
-    h), lists whose low[S & (2**h - 1)] + high[S >> h] is the summed length
-    of the blocks in S. Without gu the walk returns None at its first tie,
-    so a row without ties never needs the agent pass.
+    h, P), lists whose low[S & (2**h - 1)] + high[S >> h] is the summed
+    length of the blocks in S, and the horizon P, from which on the
+    remaining blocks follow in ascending order. Without gu the walk returns
+    None at its first tie before P, so a row without one never needs the
+    agent pass.
     """
     k = contrib_obj.shape[0]
     full = (1 << k) - 1
-    low, high, h = offsets
+    low, high, h, horizon = offsets
     mask = (1 << h) - 1
     tol = _tol(go.item(0))
     obj, value = contrib_obj.tolist(), go.item
@@ -568,6 +544,9 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
     tie = False
     while state != full:
         off = low[state & mask] + high[state >> h]
+        if off >= horizon:
+            rest = [i for i in range(k) if not (state >> i) & 1]
+            return (*order, *rest), tie or len(rest) > 1
         target = value(state)
         cands = [
             i
@@ -596,7 +575,8 @@ def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
     """
     go = _dp_value_to_go(contrib_obj, tables)
     rows = range(len(contrib_obj))
-    offsets = tables.low.offsets.tolist(), tables.high.offsets.tolist(), len(tables.low.levels) - 1
+    low, high, m = tables.low, tables.high, contrib_obj.shape[2] - 1
+    offsets = low.offsets.tolist(), high.offsets.tolist(), len(low.levels) - 1, low.limit or m
     orders = [_dp_walk(contrib_obj[r], contrib_agent, go[:, r], offsets) for r in rows]
     tied = [r for r in rows if orders[r] is None]
     if tied:
@@ -752,14 +732,33 @@ def _refuse_brute_force(partition: Partition, discount: DiscountCurve) -> str | 
 # Order functions: one (block order, tie_broken) pair per lambda in lams.
 
 
-def _per_lambda(order):
-    """Order function that calls order(partition, discount, scores, agent) once per lambda."""
+def _sort_indices(instance, u_bar, v_bar):
+    # A singleton block's index is its one score. Equal-weight stretches of
+    # the discount hide the arrangement inside them from both tiers, so the
+    # lexicographic step of the contract owns those positions outright.
+    first = [block[0] for block in instance.partition.blocks]
+    runs = _runs(instance.discount.weights.tolist(), lambda weight: 0.0)
+    return u_bar[first], v_bar[first], [(p, q) for p, q in runs if q - p > 1]
 
-    def orders(instance, u_bar, v_bar, lams):
-        partition, discount = instance.partition, instance.discount
-        return [order(partition, discount, combined_scores(lam, u_bar, v_bar), u_bar) for lam in lams]
 
-    return orders
+def _geometric_indices(instance, u_bar, v_bar):
+    # Exchange argument: under geometric weights, placing block B before C
+    # is weakly better iff r(B) >= r(C), so a sort on r is globally optimal.
+    beta = float(instance.discount.params["beta"])
+    r = np.empty((2, instance.partition.block_count))
+    for b, block in enumerate(instance.partition.blocks):
+        powers, objs = beta ** np.arange(len(block)), list(block)
+        r[:, b] = np.dot(powers, u_bar[objs]), np.dot(powers, v_bar[objs])
+        r[:, b] /= 1.0 - beta ** len(block)
+    return r[0], r[1], ()
+
+
+def _index_orders(indices, instance, u_bar, v_bar, lams):
+    """An index rule's order function. An index is affine in lambda, so
+    indices gives each block's agent and advocate index once per grid, and
+    each lambda ranks by lam * r_u + (1 - lam) * r_v, with r_u as the agent tier."""
+    r_u, r_v, stretches = indices(instance, u_bar, v_bar)
+    return [_tiered_order(lam * r_u + (1.0 - lam) * r_v, r_u, stretches) for lam in lams]
 
 
 def _contribs(instance, u_bar, v_bar):
@@ -813,9 +812,9 @@ class _Strategy(NamedTuple):
 
 
 _TABLE = {
-    "sort": _Strategy(_refuse_sort, _per_lambda(_order_singleton_blocks)),
+    "sort": _Strategy(_refuse_sort, partial(_index_orders, _sort_indices)),
     "subset_dp": _Strategy(_refuse_subset_dp, _subset_dp_orders),
-    "geometric_index": _Strategy(_refuse_geometric_index, _per_lambda(_order_geometric)),
+    "geometric_index": _Strategy(_refuse_geometric_index, partial(_index_orders, _geometric_indices)),
     "local_search": _Strategy(lambda partition, discount: None, _local_search_orders),
     "brute_force": _Strategy(_refuse_brute_force, _brute_force_orders),
 }

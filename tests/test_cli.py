@@ -408,19 +408,20 @@ def test_aggregate_lists_every_bad_cell_of_the_file(runner, tmp_path):
     ]
 
 
-def _patch_sort(monkeypatch, order):
-    """Make the sort strategy rank blocks with `order` instead of the sort rule."""
-    row = solver._TABLE["sort"]._replace(orders=solver._per_lambda(order))
+def _patch_sort(monkeypatch, orders):
+    """Make the sort strategy rank blocks with the order function `orders`."""
+    row = solver._TABLE["sort"]._replace(orders=orders)
     monkeypatch.setitem(solver._TABLE, "sort", row)
+
+
+def _reversed_sort(instance, u_bar, v_bar, lams):
+    return [(tuple(reversed(range(instance.partition.block_count))), False) for _ in lams]
 
 
 def test_validate_oracle_checks_the_strategy_auto_ships(runner, e1_path, monkeypatch):
     # e1 has singleton blocks, so auto solves it with the sort rule; a broken
     # sort must be caught even though subset_dp would still agree with brute force.
-    def reversed_sort(partition, discount, scores, agent):
-        return tuple(reversed(range(partition.block_count))), False
-
-    _patch_sort(monkeypatch, reversed_sort)
+    _patch_sort(monkeypatch, _reversed_sort)
     out = runner.invoke(main, ["validate", e1_path])
     assert out.exit_code == 3, out.output
     assert "oracle mismatch" in out.stderr
@@ -429,13 +430,10 @@ def test_validate_oracle_checks_the_strategy_auto_ships(runner, e1_path, monkeyp
 def test_validate_records_an_oracle_mismatch_on_its_file(runner, e1_path, tmp_path, monkeypatch):
     # Only the singleton-block file goes through the broken sort; the other
     # file has multi-object blocks, so auto solves it with subset_dp.
-    def reversed_sort(partition, discount, scores, agent):
-        return tuple(reversed(range(partition.block_count))), False
-
     blocks = runner.invoke(main, ["gen", "--kind", "random", "--seed", "2", "-M", "6", "-K", "3"])
     blocks_path = tmp_path / "blocks.json"
     blocks_path.write_text(blocks.stdout)
-    _patch_sort(monkeypatch, reversed_sort)
+    _patch_sort(monkeypatch, _reversed_sort)
     out = runner.invoke(main, ["validate", str(blocks_path), e1_path])
     assert out.exit_code == 3, out.output
     files = json.loads(out.stdout)["report"]["files"]

@@ -362,6 +362,35 @@ def test_cutoff_frontier_runs_the_agent_pass_once_per_chunk(monkeypatch):
     assert sum(passes) == tied
 
 
+def test_rows_that_tie_only_past_the_horizon_skip_the_agent_pass(monkeypatch):
+    # From P = 8 on every weight is 0, so the walk appends the remaining
+    # blocks in ascending order and flags the tie without scoring them; with
+    # random scores no row ties before P, so no row needs the agent pass.
+    m, k, p = 30, 12, 8
+    rng = np.random.default_rng(12)
+    weights = [1.0 / (n + 1) if n < p else 0.0 for n in range(m)]
+    part = random_partition(rng, m, k)
+    u, v = rng.random(m) * 10, rng.random(m) * 10
+    inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, weights=weights)
+    passes = []
+    agent_to_go = solver._dp_agent_to_go
+
+    def spy(contrib_obj, *args):
+        passes.append(len(contrib_obj))
+        return agent_to_go(contrib_obj, *args)
+
+    monkeypatch.setattr(solver, "_dp_agent_to_go", spy)
+    results = pp.solve_grid(inst, pp.lambda_grid(0.0, 1.0, 21), strategy="subset_dp")
+    assert sum(passes) == 0
+    lengths = part.block_lengths()
+    for result in results:
+        order = result.allocation.block_order
+        starts = np.cumsum([0, *(lengths[b] for b in order)])[:-1]
+        rest = [b for b, start in zip(order, starts) if start >= p]
+        assert len(rest) >= 2 and rest == sorted(rest)
+        assert result.tie_broken
+
+
 @st.composite
 def horizon_instances(draw, max_blocks):
     """Instances under a custom curve with P positive weights, for any P in 1..M.

@@ -341,12 +341,24 @@ def test_solve_is_deterministic():
     assert a.strategy_used == b.strategy_used
 
 
-def test_solve_grid_matches_single_solves_bitwise():
-    inst = pp.generate(pp.ScenarioSpec(kind="anti_aligned", seed=17, objects=9, blocks=4, types=2, signals=2))
+GRID_SPECS = {
+    "sort": pp.ScenarioSpec(kind="random", seed=17, objects=9, blocks=9, types=2),
+    "geometric_index": pp.ScenarioSpec(
+        kind="random", seed=17, objects=12, blocks=5, types=2, discount=("geometric", {"beta": 0.7})
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", [s for s in pp.STRATEGIES if s != "auto"])
+def test_solve_grid_matches_single_solves_bitwise(strategy):
+    spec = GRID_SPECS.get(
+        strategy, pp.ScenarioSpec(kind="anti_aligned", seed=17, objects=9, blocks=4, types=2, signals=2)
+    )
+    inst = pp.generate(spec)
     lams = pp.lambda_grid(0.0, 1.0, 21)
-    grid = pp.solve_grid(inst, lams)
+    grid = pp.solve_grid(inst, lams, strategy=strategy)
     for lam, g in zip(lams, grid):
-        s = pp.solve(pp.SolveRequest(inst, lam))
+        s = pp.solve(pp.SolveRequest(inst, lam, strategy=strategy))
         assert g.objective == s.objective
         assert g.allocation.object_order == s.allocation.object_order
         assert g.tie_broken == s.tie_broken
@@ -514,3 +526,79 @@ def test_subset_dp_matches_brute_force_past_the_weight_horizon(data):
         starts = np.cumsum([0, *(lengths[i] for i in order)])[:-1]
         assert min(int(np.sum(starts >= p)), 2) == past
         assert (order, a.tie_broken) == (b.allocation.block_order, b.tie_broken)
+
+
+def _per_lambda_index_order(instance, u, v, lam, rule):
+    """The index rules as they stood before their indices became affine in
+    lambda: the combined scores, one np.dot per block, a Python sort on
+    (-primary, -secondary, index), the tie walk and, for sort, the plateau
+    step, all redone at every lambda."""
+    scores = combined_scores(lam, u, v)
+    blocks = instance.partition.blocks
+    if rule == "sort":
+        primary = [float(scores[b[0]]) for b in blocks]
+        secondary = [float(u[b[0]]) for b in blocks]
+    else:
+        beta = float(instance.discount.params["beta"])
+        primary, secondary = [], []
+        for block in blocks:
+            powers = beta ** np.arange(len(block))
+            denom = 1.0 - beta ** len(block)
+            objs = list(block)
+            primary.append(float(np.dot(powers, scores[objs])) / denom)
+            secondary.append(float(np.dot(powers, u[objs])) / denom)
+    idx = sorted(range(len(primary)), key=lambda i: (-primary[i], -secondary[i], i))
+    order, tie = [], False
+    for k, j in solver._runs([primary[i] for i in idx]):
+        group = sorted(idx[k:j], key=lambda i: (-secondary[i], i))
+        if j - k > 1:
+            tie = True
+            for g, h in solver._runs([secondary[i] for i in group]):
+                group[g:h] = sorted(group[g:h])
+        order.extend(group)
+    if rule == "sort":
+        for p, q in solver._runs(instance.discount.weights.tolist(), lambda weight: 0.0):
+            if q - p > 1:
+                tie = True
+                order[p:q] = sorted(order[p:q])
+    return tuple(order), tie
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_index_rules_match_their_per_lambda_form(data):
+    # Each index rule computes its block indices once per grid and ranks the
+    # blocks at each lambda by lam * r_u + (1 - lam) * r_v; it must serve
+    # the order and tie flag of the per-lambda rule at every grid point.
+    singletons = data.draw(st.booleans(), label="singletons")
+    m = data.draw(st.integers(1, 14), label="objects")
+    if singletons:
+        k = m
+        kind = data.draw(st.sampled_from(("dcg", "cutoff", "custom", "geometric")), label="discount")
+    else:
+        k = data.draw(st.integers(1, m), label="blocks")
+        kind = "geometric"
+    if kind == "cutoff":
+        d = pp.make_discount("cutoff", m, cutoff=data.draw(st.integers(1, m), label="cutoff"))
+    elif kind == "custom":
+        # Weights drawn from a few levels and sorted have flat stretches.
+        levels = st.sampled_from((1.0, 0.6, 0.3, 0.0))
+        weights = sorted(data.draw(st.lists(levels, min_size=m, max_size=m), label="weights"), reverse=True)
+        d = pp.make_discount("custom", m, weights=[1.0, *weights[1:]])
+    elif kind == "geometric":
+        d = pp.make_discount("geometric", m, beta=data.draw(st.sampled_from((0.3, 0.5, 0.9)), label="beta"))
+    else:
+        d = pp.make_discount(kind, m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="integer scores"):
+        u, v = rng.integers(0, 3, m).astype(float), rng.integers(0, 3, m).astype(float)
+    else:
+        u, v = rng.random(m) * 10, rng.random(m) * 10
+    part = random_partition(rng, m, k)
+    inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=d)
+    rules = (["sort"] if singletons else []) + (["geometric_index"] if kind == "geometric" else [])
+    lams = pp.lambda_grid(0.0, 1.0, 21)
+    for rule in rules:
+        for lam, got in zip(lams, pp.solve_grid(inst, lams, strategy=rule)):
+            want = _per_lambda_index_order(inst, u, v, lam, rule)
+            assert (got.allocation.block_order, got.tie_broken) == want, (rule, lam)
