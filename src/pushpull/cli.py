@@ -26,10 +26,10 @@ from .metrics import (
 )
 from .scenarios import KINDS, PRESETS, ScenarioSpec, generate
 from .solver import (
-    BRUTE_FORCE_LIMIT,
     STRATEGIES,
     SolveRequest,
     SolverContractError,
+    _refuse_brute_force,
     brute_force_oracle,  # unused here, but perfbench/spans.py traces cli.brute_force_oracle
     combined_scores,
     solve,
@@ -201,8 +201,7 @@ def gen_cmd(kind, preset_name, seed, objects, blocks, types, signals, discount_k
         discount=_discount_config(discount_kind, cutoff=cutoff, beta=beta, weights=weights),
     )
     instance = generate(spec)
-    text = io.canonical_json(io.instance_to_document(instance), float_renderer=io.exact_float) + "\n"
-    _emit(text, out)
+    _emit(io.instance_text(instance) + "\n", out)
     _note(
         summary,
         f"generated kind={spec.kind} seed={seed} objects={instance.size} "
@@ -264,7 +263,7 @@ def validate_cmd(inputs, oracle, out, summary):
             "digest": io.instance_digest(instance),
             "oracle_checked": False,
         }
-        if oracle and instance.partition.block_count <= BRUTE_FORCE_LIMIT:
+        if oracle and _refuse_brute_force(instance.partition, instance.discount) is None:
             record["oracle_checked"] = True
             for line in _oracle_mismatches(instance):
                 click.echo(f"{path}: {line}", err=True)

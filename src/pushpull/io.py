@@ -60,6 +60,7 @@ __all__ = [
     "instance_to_document",
     "load_instance",
     "read_instance_json",
+    "instance_text",
     "write_instance_json",
     "instance_digest",
     "file_digest",
@@ -364,15 +365,24 @@ def read_instance_json(path) -> Instance:
     return load_instance(document)
 
 
+def instance_text(instance: Instance) -> str:
+    """The instance's document as text, without a final newline: sorted
+    keys, two-space indent, full-precision floats.
+
+    An instance document's floats are finite and its keys are strings, so
+    this is the text of canonical_json with exact_float.
+    """
+    return json.dumps(instance_to_document(instance), indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def write_instance_json(instance: Instance, path) -> str:
-    text = canonical_json(instance_to_document(instance), float_renderer=exact_float) + "\n"
+    text = instance_text(instance) + "\n"
     Path(path).write_text(text)
     return text
 
 
 def instance_digest(instance: Instance) -> str:
-    text = canonical_json(instance_to_document(instance), float_renderer=exact_float)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(instance_text(instance).encode("utf-8")).hexdigest()
 
 
 def file_digest(path) -> str:

@@ -16,7 +16,7 @@ from typing import Sequence
 from .core import Instance, Partition, ValidationError, is_refinement
 from .inference import PosteriorModel, garble, posterior, signal_marginal
 # solve is unused here, but perfbench/spans.py traces metrics.solve.
-from .solver import SolveResult, solve, solve_grid
+from .solver import SolveResult, _solve_rows, solve, solve_grid
 
 __all__ = [
     "AgencyMetrics",
@@ -299,23 +299,33 @@ def noise_sweep(
     for e in eps_list:
         if not 0.0 <= e <= 1.0:
             raise ValidationError(f"epsilon: must lie in [0, 1], got {e!r}")
-    points = []
+    # One solver pass serves every signal of every epsilon: equal posteriors,
+    # such as all those at epsilon 1, are solved once.
+    beliefs: dict[bytes, PosteriorModel] = {}
+    sweep = []
     for eps in eps_list:
         noisy = garble(channel, eps)
         marginal = signal_marginal(instance.type_space, noisy)
-        u_terms = []
-        v_terms = []
+        terms = []
         for idx, signal in enumerate(noisy.signals):
             weight = float(marginal[idx])
             if weight == 0.0:
                 continue
-            u_1, v_0 = _endpoints(
-                instance, (), posterior(instance.type_space, noisy, signal), strategy
-            )
-            u_terms.append(weight * u_1)
-            v_terms.append(weight * v_0)
-        points.append(NoisePoint(epsilon=eps, avg_u1=math.fsum(u_terms), avg_v0=math.fsum(v_terms)))
-    return tuple(points)
+            belief = posterior(instance.type_space, noisy, signal)
+            key = belief.weights.tobytes()
+            beliefs.setdefault(key, belief)
+            terms.append((weight, key))
+        sweep.append((eps, terms))
+    solved = _solve_rows(instance, [(belief, (1.0, 0.0)) for belief in beliefs.values()], strategy)
+    endpoints = {key: (at_1.agent_value, at_0.advocate_value) for key, (at_1, at_0) in zip(beliefs, solved)}
+    return tuple(
+        NoisePoint(
+            epsilon=eps,
+            avg_u1=math.fsum(weight * endpoints[key][0] for weight, key in terms),
+            avg_v0=math.fsum(weight * endpoints[key][1] for weight, key in terms),
+        )
+        for eps, terms in sweep
+    )
 
 
 def refine_compare(

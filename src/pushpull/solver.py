@@ -19,14 +19,14 @@ by strict xfail tests.
 
 Strategies live in one table keyed by name. Each row pairs a precondition,
 which names why a strategy cannot solve an instance, with an order
-function that solves a whole lambda list at once. `auto` runs the first of
-sort, geometric_index, subset_dp and local_search whose precondition
-holds; solve() is solve_grid() on one lambda.
+function that solves the lambda lists of one or more beliefs at once.
+`auto` runs the first of sort, geometric_index, subset_dp and local_search
+whose precondition holds; solve() is solve_grid() on one lambda.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import sys
 import threading
 from collections import OrderedDict
@@ -66,6 +66,12 @@ TIE_TOL = 1e-12
 
 DP_SUBSET_LIMIT = 20
 BRUTE_FORCE_LIMIT = 8
+
+# Cap on block orders * objects, the index cells of brute force's table of
+# object orders: 128 MB of them, 8 blocks of up to 416 objects or 7 of up to
+# 3328. A solve at the cap peaks near 300 MB, the table and one gather of
+# scores through it.
+_BRUTE_FORCE_CELLS = 1 << 24
 
 # Cap on rows * subsets of value-to-go held at once when solving a lambda
 # grid: one row at DP_SUBSET_LIMIT blocks.
@@ -499,12 +505,13 @@ def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     """Best agent value over continuations that stay objective-tied.
 
     One column per objective row r of contrib_obj, whose value-to-go is
-    go[:, r] and whose tolerance is tol[r]. Only continuations within
-    tol[r] of the optimal value-to-go at every step participate;
-    everything else is excluded with -inf.
+    go[:, r] and whose tolerance is tol[r]. contrib_agent is the agent table
+    every row shares, or one per row. Only continuations within tol[r] of
+    the optimal value-to-go at every step participate; everything else is
+    excluded with -inf.
     """
     flat_obj = _by_position(contrib_obj)
-    flat_agent = _by_position(contrib_agent[None])
+    flat_agent = _by_position(contrib_agent.reshape(-1, *contrib_obj.shape[1:]))
     gu = np.zeros(go.shape)
     for (value, agent), sel, at, nxt, merge in _dp_slices(tables, go, gu):
         obj = np.take(flat_obj, at, axis=0)
@@ -571,21 +578,25 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
 def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
     """Solve one subset DP per objective row; contrib_obj is (rows, K, M+1).
 
-    Rows whose walk meets a tie share one agent pass, then walk again.
+    contrib_agent is the agent table (K, M+1) that every row shares, or one
+    per row. Rows whose walk meets a tie share one agent pass, then walk again.
     """
     go = _dp_value_to_go(contrib_obj, tables)
     rows = range(len(contrib_obj))
     low, high, m = tables.low, tables.high, contrib_obj.shape[2] - 1
     offsets = low.offsets.tolist(), high.offsets.tolist(), len(low.levels) - 1, low.limit or m
-    orders = [_dp_walk(contrib_obj[r], contrib_agent, go[:, r], offsets) for r in rows]
+    orders = [_dp_walk(contrib_obj[r], None, go[:, r], offsets) for r in rows]
     tied = [r for r in rows if orders[r] is None]
     if tied:
         # When every row tied, the agent pass reads go itself, not a copy.
         tied_go = go if len(tied) == len(rows) else go.take(tied, axis=1)
         tol = np.array([_tol(go[0, r]) for r in tied])
-        gu = _dp_agent_to_go(contrib_obj[tied], contrib_agent, tied_go, tables, tol)
+        shared = contrib_agent.ndim == 2
+        agents = contrib_agent if shared else contrib_agent[tied]
+        gu = _dp_agent_to_go(contrib_obj[tied], agents, tied_go, tables, tol)
         for j, r in enumerate(tied):
-            orders[r] = _dp_walk(contrib_obj[r], contrib_agent, go[:, r], offsets, gu[:, j])
+            agent = agents if shared else agents[j]
+            orders[r] = _dp_walk(contrib_obj[r], agent, go[:, r], offsets, gu[:, j])
     return orders
 
 
@@ -652,16 +663,29 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
 
 
 def _brute_tables(partition: Partition):
-    """Every block order, and the object order of each, one row per order.
+    """Every block order in lexicographic order, and the object order of
+    each, one row per order.
 
     Only the partition shapes them, so one build serves every lambda.
     """
-    blocks = partition.blocks
-    perms = list(itertools.permutations(range(partition.block_count)))
-    orders = np.array(
-        [[obj for b in perm for obj in blocks[b]] for perm in perms], dtype=np.intp
-    )
-    return perms, orders
+    perms = np.zeros((1, 0), dtype=np.intp)
+    for n in range(1, partition.block_count + 1):
+        # The orders of n blocks: each first block f in turn, then every
+        # order of n - 1 blocks with the values at or above f shifted up.
+        first = np.repeat(np.arange(n, dtype=np.intp), len(perms))
+        rest = np.tile(perms, (n, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack((first, rest))
+    lengths = np.array(partition.block_lengths(), dtype=np.intp)
+    objs = np.array([obj for block in partition.blocks for obj in block], dtype=np.intp)
+    seq = perms.ravel()
+    run = lengths[seq]
+    # Along the concatenated orders, place i inside the run of block b holds
+    # objs[starts[b] + i - (the place where that run begins)].
+    starts = np.cumsum(lengths) - lengths
+    at = np.repeat(starts[seq] - (np.cumsum(run) - run), run)
+    at += np.arange(len(at))
+    return perms, objs[at].reshape(len(perms), partition.size)
 
 
 def _order_brute(tables, weights: np.ndarray, scores, agent):
@@ -672,9 +696,9 @@ def _order_brute(tables, weights: np.ndarray, scores, agent):
     if tie:
         agent_vals = np.asarray(agent, dtype=float)[orders[tied]] @ weights
         tied = tied[_near_best(agent_vals)]
-    # itertools yields permutations in lexicographic order, so the first
-    # survivor is the lexicographically smallest block order.
-    return perms[int(tied[0])], tie
+    # The rows run in lexicographic order, so the first survivor is the
+    # lexicographically smallest block order.
+    return tuple(perms[int(tied[0])].tolist()), tie
 
 
 def brute_force_oracle(partition: Partition, scores, discount: DiscountCurve, *, agent_scores=None) -> Allocation:
@@ -726,10 +750,14 @@ def _refuse_brute_force(partition: Partition, discount: DiscountCurve) -> str | 
             f"brute force refuses partitions with more than {BRUTE_FORCE_LIMIT} blocks"
             f" (got {partition.block_count})"
         )
+    cells = math.factorial(partition.block_count) * partition.size
+    if cells > _BRUTE_FORCE_CELLS:
+        return f"brute force: block orders x objects ({cells}) exceed the limit {_BRUTE_FORCE_CELLS}"
     return None
 
 
-# Order functions: one (block order, tie_broken) pair per lambda in lams.
+# Order functions: one (block order, tie_broken) pair per lambda, for each
+# (u_bar, v_bar, lams) belief of beliefs in turn.
 
 
 def _sort_indices(instance, u_bar, v_bar):
@@ -753,12 +781,15 @@ def _geometric_indices(instance, u_bar, v_bar):
     return r[0], r[1], ()
 
 
-def _index_orders(indices, instance, u_bar, v_bar, lams):
+def _index_orders(indices, instance, beliefs):
     """An index rule's order function. An index is affine in lambda, so
-    indices gives each block's agent and advocate index once per grid, and
+    indices gives each block's agent and advocate index once per belief, and
     each lambda ranks by lam * r_u + (1 - lam) * r_v, with r_u as the agent tier."""
-    r_u, r_v, stretches = indices(instance, u_bar, v_bar)
-    return [_tiered_order(lam * r_u + (1.0 - lam) * r_v, r_u, stretches) for lam in lams]
+    out = []
+    for u_bar, v_bar, lams in beliefs:
+        r_u, r_v, stretches = indices(instance, u_bar, v_bar)
+        out += [_tiered_order(lam * r_u + (1.0 - lam) * r_v, r_u, stretches) for lam in lams]
+    return out
 
 
 def _contribs(instance, u_bar, v_bar):
@@ -769,38 +800,55 @@ def _contribs(instance, u_bar, v_bar):
     )
 
 
-def _local_search_orders(instance, u_bar, v_bar, lams):
+def _local_search_orders(instance, beliefs):
     partition = instance.partition
-    contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
+    out = []
+    for u_bar, v_bar, lams in beliefs:
+        contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
+        out += [
+            _order_local_search(
+                partition,
+                lam * contrib_u + (1.0 - lam) * contrib_v,
+                contrib_u,
+                _block_keys(partition, combined_scores(lam, u_bar, v_bar)),
+            )
+            for lam in lams
+        ]
+    return out
+
+
+def _brute_force_orders(instance, beliefs):
+    tables = _brute_tables(instance.partition)
+    weights = instance.discount.weights
     return [
-        _order_local_search(
-            partition,
-            lam * contrib_u + (1.0 - lam) * contrib_v,
-            contrib_u,
-            _block_keys(partition, combined_scores(lam, u_bar, v_bar)),
-        )
+        _order_brute(tables, weights, combined_scores(lam, u_bar, v_bar), u_bar)
+        for u_bar, v_bar, lams in beliefs
         for lam in lams
     ]
 
 
-def _brute_force_orders(instance, u_bar, v_bar, lams):
-    tables = _brute_tables(instance.partition)
-    weights = instance.discount.weights
-    return [
-        _order_brute(tables, weights, combined_scores(lam, u_bar, v_bar), u_bar) for lam in lams
-    ]
-
-
-def _subset_dp_orders(instance, u_bar, v_bar, lams):
-    # All lambdas share one set of subset tables and go through the DP one
-    # row each, in chunks that keep rows * subsets within _DP_CELL_BUDGET.
+def _subset_dp_orders(instance, beliefs):
+    # The rows of every belief share one set of subset tables and go through
+    # the DP in chunks that keep rows * subsets within _DP_CELL_BUDGET. Each
+    # belief's block values are computed once; a chunk whose rows all hold
+    # one belief shares its agent table, which broadcasts. A belief's rows
+    # are consecutive, so a chunk's first and last row tell.
     partition = instance.partition
-    contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
+    contribs, lams, which = [], [], []
+    for b, (u_bar, v_bar, belief_lams) in enumerate(beliefs):
+        contribs.append(_contribs(instance, u_bar, v_bar))
+        lams += belief_lams
+        which += [b] * len(belief_lams)
     tables = _subset_tables(partition.block_lengths(), _horizon(instance.discount.weights))
     chunk = max(1, _DP_CELL_BUDGET >> partition.block_count)
     out = []
     for start in range(0, len(lams), chunk):
         rows = np.array(lams[start : start + chunk])[:, None, None]
+        held = which[start : start + chunk]
+        if held[0] == held[-1]:
+            contrib_u, contrib_v = contribs[held[0]]
+        else:
+            contrib_u, contrib_v = (np.array(side) for side in zip(*(contribs[b] for b in held)))
         contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
         out.extend(_dp_orders(tables, contrib_obj, contrib_u))
     return out
@@ -851,13 +899,31 @@ def solve_grid(
     Each result equals the solve() at its lambda bit for bit; the subset-DP
     strategy batches all rows through a single vectorized DP.
     """
-    lams = [float(l) for l in lambdas]
-    for l in lams:
-        if not 0.0 <= l <= 1.0:
-            raise ValidationError(f"lambda: must lie in [0, 1], got {l!r}")
-    belief = posterior if posterior is not None else prior_posterior(instance.type_space)
-    u_bar = expected_scores(instance, belief, "agent")
-    v_bar = expected_scores(instance, belief, "advocate")
+    [results] = _solve_rows(instance, [(posterior, lambdas)], strategy)
+    return results
+
+
+def _solve_rows(instance: Instance, rows, strategy: str) -> list[tuple[SolveResult, ...]]:
+    """solve_grid for each (posterior, lambdas) pair of rows, in one strategy call.
+
+    The strategy is resolved once. A pair's expected scores, and the work
+    that depends on them alone, serve all of its lambdas; the subset DP
+    solves the rows of every pair in one pass. Each result equals the
+    solve() of its posterior and lambda bit for bit. Without pairs, nothing
+    is resolved or built.
+    """
+    if not rows:
+        return []
+    beliefs = []
+    for posterior, lambdas in rows:
+        lams = [float(l) for l in lambdas]
+        for l in lams:
+            if not 0.0 <= l <= 1.0:
+                raise ValidationError(f"lambda: must lie in [0, 1], got {l!r}")
+        belief = posterior if posterior is not None else prior_posterior(instance.type_space)
+        u_bar = expected_scores(instance, belief, "agent")
+        v_bar = expected_scores(instance, belief, "advocate")
+        beliefs.append((u_bar, v_bar, lams))
     partition, discount = instance.partition, instance.discount
     if strategy == "auto":
         strategy = next(s for s in _AUTO if _TABLE[s].refuse(partition, discount) is None)
@@ -867,8 +933,11 @@ def solve_grid(
         refusal = _TABLE[strategy].refuse(partition, discount)
         if refusal is not None:
             raise SolverContractError(refusal)
-    orders = _TABLE[strategy].orders(instance, u_bar, v_bar, lams)
-    return tuple(
-        _result_for(instance, u_bar, v_bar, lam, order, strategy, tie)
-        for lam, (order, tie) in zip(lams, orders)
-    )
+    orders = iter(_TABLE[strategy].orders(instance, beliefs))
+    return [
+        tuple(
+            _result_for(instance, u_bar, v_bar, lam, order, strategy, tie)
+            for lam, (order, tie) in zip(lams, orders)
+        )
+        for u_bar, v_bar, lams in beliefs
+    ]

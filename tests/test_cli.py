@@ -414,8 +414,9 @@ def _patch_sort(monkeypatch, orders):
     monkeypatch.setitem(solver._TABLE, "sort", row)
 
 
-def _reversed_sort(instance, u_bar, v_bar, lams):
-    return [(tuple(reversed(range(instance.partition.block_count))), False) for _ in lams]
+def _reversed_sort(instance, beliefs):
+    order = tuple(reversed(range(instance.partition.block_count)))
+    return [(order, False) for *_, lams in beliefs for _ in lams]
 
 
 def test_validate_oracle_checks_the_strategy_auto_ships(runner, e1_path, monkeypatch):
@@ -456,6 +457,23 @@ def test_validate_oracle_builds_the_block_order_tables_once_per_file(runner, e1_
     out = runner.invoke(main, ["validate", e1_path, e1_path])
     assert out.exit_code == 0, out.output
     assert builds == [3, 3]
+
+
+def test_validate_skips_the_oracle_past_the_brute_force_table_cap(runner, tmp_path, monkeypatch):
+    # 8! block orders x 3000 objects is 121M index cells, far past the cap,
+    # so the file is checked without building the brute-force table.
+    doc = runner.invoke(main, ["gen", "--kind", "random", "--seed", "1", "-M", "3000", "-K", "8"])
+    path = tmp_path / "big.json"
+    path.write_text(doc.stdout)
+
+    def unreachable(partition):
+        raise AssertionError("the brute-force table was built past its cap")
+
+    monkeypatch.setattr(solver, "_brute_tables", unreachable)
+    out = runner.invoke(main, ["validate", str(path)])
+    assert out.exit_code == 0, out.output
+    [record] = json.loads(out.stdout)["report"]["files"]
+    assert record["ok"] and record["oracle_checked"] is False
 
 
 @pytest.mark.parametrize("command", ["frontier", "refine-compare"])

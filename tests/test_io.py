@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pushpull as pp
 from pushpull import io
@@ -71,6 +74,62 @@ def test_instance_digest_is_content_addressed():
     c = pp.generate(pp.ScenarioSpec(kind="random", seed=2, objects=6, blocks=2, types=2, signals=2))
     assert io.instance_digest(a) == io.instance_digest(b)
     assert io.instance_digest(a) != io.instance_digest(c)
+
+
+# Identifiers from the whole Unicode range but surrogates, which UTF-8 cannot
+# encode; numbers from subnormal to huge, whose shortest repr needs an exponent.
+IDS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4)
+NUMBERS = st.floats(min_value=0.0, max_value=1e300, allow_nan=False) | st.sampled_from((5e-324, 1e16, 0.1))
+
+
+def _distribution(draw, size):
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=size, max_size=size))
+    return [w / math.fsum(weights) for w in weights]
+
+
+@st.composite
+def instance_documents(draw):
+    m, t = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    catalog = draw(st.lists(IDS, min_size=m, max_size=m, unique=True))
+    types = draw(st.lists(IDS, min_size=t, max_size=t, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=m - 1))) if m > 1 else []
+    bounds = [0, *cuts, m]
+    table = st.lists(NUMBERS, min_size=m, max_size=m)
+    kind = draw(st.sampled_from(("dcg", "cutoff", "geometric", "custom")))
+    tail = draw(st.lists(st.floats(0.0, 1.0), min_size=m - 1, max_size=m - 1))
+    params = {
+        "dcg": {},
+        "cutoff": {"cutoff": draw(st.integers(1, m))},
+        "geometric": {"beta": draw(st.floats(0.01, 0.99))},
+        "custom": {"weights": [1.0, *sorted(tail, reverse=True)]},
+    }[kind]
+    signal_model = None
+    if draw(st.booleans()):
+        s = draw(st.integers(1, 3))
+        signal_model = {
+            "signals": draw(st.lists(IDS, min_size=s, max_size=s, unique=True)),
+            "likelihood": [_distribution(draw, s) for _ in types],
+        }
+    return {
+        "schema_version": 1,
+        "catalog": catalog,
+        "partition": [catalog[a:b] for a, b in zip(bounds, bounds[1:])],
+        "types": types,
+        "prior": _distribution(draw, t),
+        "agent_u": {name: draw(table) for name in types},
+        "advocate_v": {name: draw(table) for name in types},
+        "discount": {"kind": kind, "params": params},
+        "signal_model": signal_model,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_documents())
+def test_instance_digest_hashes_the_canonical_document(document):
+    inst = io.load_instance(document)
+    text = io.canonical_json(io.instance_to_document(inst), float_renderer=io.exact_float)
+    assert io.instance_text(inst) == text
+    assert io.instance_digest(inst) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_load_instance_collects_every_violation():

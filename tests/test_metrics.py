@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pushpull as pp
+from pushpull import metrics
 
 from helpers import e1_instance, make_instance
 
@@ -210,6 +211,93 @@ def test_noise_sweep_perfect_channel_beats_prior():
     points = pp.noise_sweep(inst, (0.0, 1.0))
     assert points[0].avg_u1 == 5.0
     assert points[-1].avg_u1 == 2.5
+
+
+def _sweep_one_solve_per_signal(inst, epsilons):
+    """noise_sweep as one two-row solve_grid per epsilon and signal."""
+    points = []
+    for eps in epsilons:
+        noisy = pp.garble(inst.signal_model, eps)
+        marginal = pp.signal_marginal(inst.type_space, noisy)
+        u_terms, v_terms = [], []
+        for idx, signal in enumerate(noisy.signals):
+            weight = float(marginal[idx])
+            if weight == 0.0:
+                continue
+            at_1, at_0 = pp.solve_grid(inst, (1.0, 0.0), pp.posterior(inst.type_space, noisy, signal))
+            u_terms.append(weight * at_1.agent_value)
+            v_terms.append(weight * at_0.advocate_value)
+        points.append(pp.NoisePoint(epsilon=eps, avg_u1=math.fsum(u_terms), avg_v0=math.fsum(v_terms)))
+    return tuple(points)
+
+
+def _swept(kind, seed, objects, blocks, discount):
+    spec = pp.ScenarioSpec(
+        kind=kind, seed=seed, objects=objects, blocks=blocks, types=3, signals=3, discount=discount
+    )
+    return pp.generate(spec)
+
+
+def _singletons_with_a_silent_signal():
+    # Signal s2 never fires, so at epsilon 0 its weight is 0 and it is skipped.
+    channel = pp.SignalChannel(("s0", "s1", "s2"), [[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [0.5, 0.5, 0.0]])
+    return make_instance(
+        agent=[[3, 1, 2, 0, 4], [1, 4, 0, 2, 2], [2, 2, 3, 1, 0]],
+        advocate=[[0, 4, 0, 1, 1], [2, 0, 1, 3, 0], [1, 1, 1, 1, 1]],
+        blocks=((0,), (1,), (2,), (3,), (4,)),
+        discount=pp.make_discount("dcg", 5),
+        signal_model=channel,
+    )
+
+
+def _blocks_with_tied_rows():
+    # Small integer scores tie many rows before the cutoff, so posteriors
+    # that differ share chunks of the agent-value pass.
+    likelihood = [[1 / 2, 1 / 3, 1 / 6], [1 / 7, 3 / 7, 3 / 7], [1 / 3, 1 / 3, 1 / 3]]
+    channel = pp.SignalChannel(("s0", "s1", "s2"), likelihood)
+    return make_instance(
+        agent=[[1, 0, 0, 0, 2, 1, 1, 2], [2, 2, 1, 2, 2, 2, 2, 2], [2, 2, 0, 0, 1, 1, 0, 2]],
+        advocate=[[1, 0, 1, 0, 2, 2, 1, 2], [0, 2, 0, 2, 1, 1, 2, 2], [1, 2, 1, 2, 2, 0, 0, 1]],
+        blocks=((0, 1), (2,), (3, 4), (5,), (6, 7)),
+        discount=pp.make_discount("cutoff", 8, cutoff=5),
+        prior=(0.5, 0.25, 0.25),
+        signal_model=channel,
+    )
+
+
+@pytest.mark.parametrize(
+    "build, strategy",
+    [
+        (lambda: _swept("random", 5, 14, 6, ("dcg", {})), "subset_dp"),
+        (lambda: _swept("anti_aligned", 6, 14, 7, ("cutoff", {"cutoff": 5})), "subset_dp"),
+        (_blocks_with_tied_rows, "subset_dp"),
+        (lambda: _swept("random", 7, 14, 6, ("geometric", {"beta": 0.6})), "geometric_index"),
+        (_singletons_with_a_silent_signal, "sort"),
+        (lambda: _swept("random", 8, 30, 21, ("dcg", {})), "local_search"),
+    ],
+    ids=["subset_dp-dcg", "subset_dp-cutoff", "subset_dp-ties", "geometric_index", "sort", "local_search"],
+)
+def test_noise_sweep_equals_one_solve_per_signal_in_one_solver_call(monkeypatch, build, strategy):
+    inst = build()
+    assert pp.solve(pp.SolveRequest(inst, 0.5)).strategy_used == strategy
+    epsilons = (0.0, 0.25, 0.5, 0.75, 1.0)
+    want = _sweep_one_solve_per_signal(inst, epsilons)
+    calls = []
+    solve_rows = metrics._solve_rows
+
+    def spy(*args):
+        calls.append(args)
+        return solve_rows(*args)
+
+    monkeypatch.setattr(metrics, "_solve_rows", spy)
+    assert pp.noise_sweep(inst, epsilons) == want
+    assert len(calls) == 1
+
+
+def test_empty_noise_sweep_solves_nothing():
+    # Nine blocks are past brute force's limit, but no epsilon asks for a solve.
+    inst = _swept("random", 9, 9, 9, ("dcg", {}))
+    assert pp.noise_sweep(inst, [], "brute_force") == ()
 
 
 def test_refine_compare_requires_actual_refinement():

@@ -222,6 +222,42 @@ def test_brute_force_refuses_large_k():
         brute_force_oracle(part, list(range(m)), d)
 
 
+def test_brute_force_refuses_a_table_past_its_cell_cap(monkeypatch):
+    # 8! orders x 416 objects fit under 2**24 index cells; 8! x 417 do not,
+    # and are refused before any table is built.
+    def unreachable(partition):
+        raise AssertionError("the brute-force table was built past its cap")
+
+    monkeypatch.setattr(solver, "_brute_tables", unreachable)
+    for m, refused in ((416, False), (417, True)):
+        part = pp.Partition(tuple(tuple(range(b * m // 8, (b + 1) * m // 8)) for b in range(8)))
+        d = pp.make_discount("dcg", m)
+        assert (solver._refuse_brute_force(part, d) is not None) == refused
+    with pytest.raises(pp.SolverContractError, match=r"block orders x objects \(16813440\)"):
+        brute_force_oracle(part, list(range(m)), d)
+
+
+BRUTE_LAYOUTS = (
+    (1,), (2, 1), (1, 3, 2), (2, 1, 1, 3), (1, 1, 2, 1, 3),
+    (3, 1, 2, 1, 1, 2), (1, 2, 1, 3, 1, 2, 1), (2, 1, 3, 1, 1, 2, 1, 1),
+)
+
+
+@pytest.mark.parametrize("lengths", BRUTE_LAYOUTS)
+def test_brute_tables_match_itertools_permutations(lengths):
+    # The reference is the table as itertools builds it, one row per order.
+    rng = np.random.default_rng(len(lengths))
+    objects = rng.permutation(sum(lengths)).tolist()
+    bounds = np.cumsum((0, *lengths)).tolist()
+    part = pp.Partition(tuple(tuple(objects[a:b]) for a, b in zip(bounds, bounds[1:])))
+    want_perms = list(itertools.permutations(range(len(lengths))))
+    want_orders = [[obj for b in perm for obj in part.blocks[b]] for perm in want_perms]
+    perms, orders = solver._brute_tables(part)
+    assert perms.dtype == orders.dtype == np.intp
+    assert [tuple(row) for row in perms.tolist()] == want_perms
+    assert orders.tolist() == want_orders
+
+
 def test_solve_e1_lambda_one():
     r = pp.solve(pp.SolveRequest(e1_instance(), 1.0))
     assert r.allocation.object_order == (0, 2, 1)
