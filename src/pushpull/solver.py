@@ -144,19 +144,23 @@ def _tol(scale) -> float:
     return TIE_TOL * max(1.0, abs(scale))
 
 
-def _runs(values, tol=_tol):
-    """(start, stop) of each maximal run of values tied with its first member.
+def _run_stop(values, k: int) -> int:
+    """The stop of the run that starts at k: the values after values[k], the
+    anchor, join it while they lie within _tol(anchor) of it."""
+    anchor = values[k]
+    limit = _tol(anchor)
+    j = k + 1
+    while j < len(values) and abs(values[j] - anchor) <= limit:
+        j += 1
+    return j
 
-    A value joins the run while it lies within tol(anchor) of the run's
-    first value, the anchor; values are walked in the order given.
-    """
+
+def _runs(values):
+    """(start, stop) of each maximal run of values tied with its first member,
+    walking the values in the order given."""
     k = 0
     while k < len(values):
-        anchor = values[k]
-        limit = tol(anchor)
-        j = k + 1
-        while j < len(values) and abs(values[j] - anchor) <= limit:
-            j += 1
+        j = _run_stop(values, k)
         yield k, j
         k = j
 
@@ -175,16 +179,23 @@ def _tiered_order(primary: np.ndarray, secondary: np.ndarray, stretches) -> tupl
     secondary desc, and secondary-level ties fall back to ascending index.
     Each (p, q) in stretches then orders positions p..q-1 by index, as a tie.
     """
-    order = np.lexsort((-secondary, -primary)).tolist()
-    agent = secondary.tolist()
+    order = np.lexsort((-secondary, -primary))
+    ranked = primary[order]
+    # A run of two or more can start only where the next value lies within
+    # tolerance; every other position is a run of one.
+    near = np.abs(ranked[1:] - ranked[:-1]) <= TIE_TOL * np.maximum(1.0, np.abs(ranked[:-1]))
+    order, values, agent = order.tolist(), ranked.tolist(), secondary.tolist()
     tie = bool(stretches)
-    for k, j in _runs(primary[order].tolist()):
-        if j - k > 1:
-            tie = True
-            group = sorted(order[k:j], key=lambda i: (-agent[i], i))
-            for g, h in _runs([agent[i] for i in group]):
-                group[g:h] = sorted(group[g:h])
-            order[k:j] = group
+    stop = 0
+    for k in np.flatnonzero(near).tolist():
+        if k < stop:
+            continue
+        stop = _run_stop(values, k)
+        tie = True
+        group = sorted(order[k:stop], key=lambda i: (-agent[i], i))
+        for g, h in _runs([agent[i] for i in group]):
+            group[g:h] = sorted(group[g:h])
+        order[k:stop] = group
     for p, q in stretches:
         order[p:q] = sorted(order[p:q])
     return tuple(order), tie
@@ -618,21 +629,30 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
     """
     k = partition.block_count
     lengths = partition.block_lengths()
+    # Both tables are read as flat views of Python floats, entry (b, off) at
+    # b * width + off: the same doubles, summed in the same association.
+    width = contrib_obj.shape[1]
+    obj, agent = memoryview(contrib_obj.ravel()), memoryview(contrib_agent.ravel())
     order = list(range(k))
     cur = 0.0
     off = 0
     for b in order:
-        cur += contrib_obj[b, off]
+        cur += obj[b * width + off]
         off += lengths[b]
     tie = False
     tol = _tol(cur)
     for _ in range(8 * k + 32):
         changed = False
         off = 0
+        # a is the block at pos. A swap carries it on to pos + 1, where it
+        # meets the next block; otherwise that next block takes its place.
+        a = order[0]
         for pos in range(k - 1):
-            a, b = order[pos], order[pos + 1]
-            before = contrib_obj[a, off] + contrib_obj[b, off + lengths[a]]
-            after = contrib_obj[b, off] + contrib_obj[a, off + lengths[b]]
+            b = order[pos + 1]
+            la, lb = lengths[a], lengths[b]
+            at_a, at_b = a * width + off, b * width + off
+            before = obj[at_a] + obj[at_b + la]
+            after = obj[at_b] + obj[at_a + lb]
             delta = after - before
             swap = False
             if delta > tol:
@@ -640,8 +660,8 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
             elif abs(delta) <= tol:
                 tie = True
                 if delta >= 0.0:
-                    u_before = contrib_agent[a, off] + contrib_agent[b, off + lengths[a]]
-                    u_after = contrib_agent[b, off] + contrib_agent[a, off + lengths[b]]
+                    u_before = agent[at_a] + agent[at_b + la]
+                    u_after = agent[at_b] + agent[at_a + lb]
                     du = u_after - u_before
                     tol_u = _tol(u_before)
                     if du > tol_u:
@@ -656,7 +676,10 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
                 cur += delta
                 tol = _tol(cur)
                 changed = True
-            off += lengths[order[pos]]
+                off += lb
+            else:
+                off += la
+                a = b
         if not changed:
             break
     return tuple(order), tie
@@ -764,9 +787,11 @@ def _sort_indices(instance, u_bar, v_bar):
     # A singleton block's index is its one score. Equal-weight stretches of
     # the discount hide the arrangement inside them from both tiers, so the
     # lexicographic step of the contract owns those positions outright.
+    # The stretches are the maximal runs of equal neighbouring weights.
     first = [block[0] for block in instance.partition.blocks]
-    runs = _runs(instance.discount.weights.tolist(), lambda weight: 0.0)
-    return u_bar[first], v_bar[first], [(p, q) for p, q in runs if q - p > 1]
+    w = instance.discount.weights
+    bounds = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), len(w)]
+    return u_bar[first], v_bar[first], [(p, q) for p, q in zip(bounds, bounds[1:]) if q - p > 1]
 
 
 def _geometric_indices(instance, u_bar, v_bar):

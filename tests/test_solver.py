@@ -214,6 +214,130 @@ def test_local_search_gap_to_dp_is_measured_not_assumed():
     assert max(gaps) >= 0.0
 
 
+def _reference_local_search(partition, contrib_obj, contrib_agent, block_keys):
+    """The local search as it stood before it read flat views of Python
+    floats: two-dimensional numpy reads, numpy-scalar sums, the block pair
+    re-read from the order at every position and _tol after every swap."""
+    k = partition.block_count
+    lengths = partition.block_lengths()
+    order = list(range(k))
+    cur = 0.0
+    off = 0
+    for b in order:
+        cur += contrib_obj[b, off]
+        off += lengths[b]
+    tie = False
+    tol = solver._tol(cur)
+    for _ in range(8 * k + 32):
+        changed = False
+        off = 0
+        for pos in range(k - 1):
+            a, b = order[pos], order[pos + 1]
+            before = contrib_obj[a, off] + contrib_obj[b, off + lengths[a]]
+            after = contrib_obj[b, off] + contrib_obj[a, off + lengths[b]]
+            delta = after - before
+            swap = False
+            if delta > tol:
+                swap = True
+            elif abs(delta) <= tol:
+                tie = True
+                if delta >= 0.0:
+                    u_before = contrib_agent[a, off] + contrib_agent[b, off + lengths[a]]
+                    u_after = contrib_agent[b, off] + contrib_agent[a, off + lengths[b]]
+                    du = u_after - u_before
+                    tol_u = solver._tol(u_before)
+                    if du > tol_u:
+                        swap = True
+                    elif abs(du) <= tol_u:
+                        if block_keys[b] > block_keys[a]:
+                            swap = True
+                        elif block_keys[b] == block_keys[a] and b < a:
+                            swap = True
+            if swap:
+                order[pos], order[pos + 1] = b, a
+                cur += delta
+                tol = solver._tol(cur)
+                changed = True
+            off += lengths[order[pos]]
+        if not changed:
+            break
+    return tuple(order), tie
+
+
+def _reference_local_search_orders(instance, u, v, lams):
+    part, weights = instance.partition, instance.discount.weights
+    contrib_u = solver._block_contribs(part, u, weights)
+    contrib_v = solver._block_contribs(part, v, weights)
+    return [
+        _reference_local_search(
+            part,
+            lam * contrib_u + (1.0 - lam) * contrib_v,
+            contrib_u,
+            solver._block_keys(part, combined_scores(lam, u, v)),
+        )
+        for lam in lams
+    ]
+
+
+def _shipped_local_search_orders(instance, u, v, lams):
+    """(order, tie_broken) per lambda from the shipped local search: through
+    solve_grid, or, for scores an instance cannot hold, its order function."""
+    if (u < 0).any() or (v < 0).any():
+        return solver._local_search_orders(instance, [(u, v, list(lams))])
+    grid = pp.solve_grid(instance, lams, strategy="local_search")
+    return [(r.allocation.block_order, r.tie_broken) for r in grid]
+
+
+LOCAL_SEARCH_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_local_search_matches_its_numpy_scalar_form(data):
+    k = data.draw(st.integers(1, 40), label="blocks")
+    m = data.draw(st.integers(k, 3 * k), label="objects")
+    kind = data.draw(st.sampled_from(("dcg", "cutoff", "custom", "geometric")), label="discount")
+    if kind == "cutoff":
+        d = pp.make_discount("cutoff", m, cutoff=data.draw(st.integers(1, m), label="cutoff"))
+    elif kind == "custom":
+        # Weights drawn from a few levels and sorted have flat stretches.
+        levels = st.sampled_from((1.0, 0.6, 0.3, 0.0))
+        weights = sorted(data.draw(st.lists(levels, min_size=m, max_size=m), label="weights"), reverse=True)
+        d = pp.make_discount("custom", m, weights=[1.0, *weights[1:]])
+    elif kind == "geometric":
+        d = pp.make_discount("geometric", m, beta=data.draw(st.sampled_from((0.3, 0.5, 0.9)), label="beta"))
+    else:
+        d = pp.make_discount("dcg", m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    family = data.draw(st.sampled_from(("random", "integer", "near-tie", "mixed-sign")), label="scores")
+    if family == "random":
+        u, v = rng.random(m) * 10, rng.random(m) * 10
+    elif family == "integer":
+        u, v = rng.integers(0, 3, m).astype(float), rng.integers(0, 3, m).astype(float)
+    elif family == "near-tie":
+        u, v = 1.0 + rng.permutation(m) * 3e-13, 1.0 + rng.permutation(m) * 3e-13
+    else:
+        u, v = rng.uniform(-1e6, 1e6, m), rng.uniform(-1e6, 1e6, m)
+    part = random_partition(rng, m, k)
+    inst = make_instance(agent=[np.abs(u)], advocate=[np.abs(v)], blocks=part.blocks, discount=d)
+    got = _shipped_local_search_orders(inst, u, v, LOCAL_SEARCH_LAMBDAS)
+    assert got == _reference_local_search_orders(inst, u, v, LOCAL_SEARCH_LAMBDAS)
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_local_search_matches_its_numpy_scalar_form_at_sixty_blocks(integer):
+    rng = np.random.default_rng(60)
+    m, k = 180, 60
+    if integer:
+        u, v = rng.integers(0, 3, m).astype(float), rng.integers(0, 3, m).astype(float)
+    else:
+        u, v = rng.random(m) * 10, rng.random(m) * 10
+    part = random_partition(rng, m, k)
+    inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=pp.make_discount("dcg", m))
+    got = _shipped_local_search_orders(inst, u, v, LOCAL_SEARCH_LAMBDAS)
+    assert got == _reference_local_search_orders(inst, u, v, LOCAL_SEARCH_LAMBDAS)
+
+
 def test_brute_force_refuses_large_k():
     m = 9
     part = pp.Partition(tuple((i,) for i in range(m)))
@@ -593,10 +717,13 @@ def _per_lambda_index_order(instance, u, v, lam, rule):
                 group[g:h] = sorted(group[g:h])
         order.extend(group)
     if rule == "sort":
-        for p, q in solver._runs(instance.discount.weights.tolist(), lambda weight: 0.0):
+        p = 0
+        for _, stretch in itertools.groupby(instance.discount.weights.tolist()):
+            q = p + len(list(stretch))
             if q - p > 1:
                 tie = True
                 order[p:q] = sorted(order[p:q])
+            p = q
     return tuple(order), tie
 
 
@@ -626,15 +753,41 @@ def test_index_rules_match_their_per_lambda_form(data):
     else:
         d = pp.make_discount(kind, m)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    if data.draw(st.booleans(), label="integer scores"):
+    # The chain family runs on singletons only, where the sort rule's two forms
+    # compute the same doubles. A geometric index rounds differently in its
+    # per-lambda form (one dot of the combined scores) than in its affine form
+    # (two dots combined), and on a chain those last bits can cross the
+    # tolerance or swap two near-equal values, so the chain skips that rule.
+    families = ("random", "integer", "chain") if singletons else ("random", "integer")
+    family = data.draw(st.sampled_from(families), label="scores")
+    if family == "integer":
         u, v = rng.integers(0, 3, m).astype(float), rng.integers(0, 3, m).astype(float)
+    elif family == "chain":
+        # Neighbours 6e-13 apart tie, but a run's anchor ties only with the
+        # next one, so anchored runs, not neighbour chains, make the groups.
+        u, v = 1.0 + rng.permutation(m) * 6e-13, 1.0 + rng.permutation(m) * 6e-13
     else:
         u, v = rng.random(m) * 10, rng.random(m) * 10
     part = random_partition(rng, m, k)
     inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=d)
-    rules = (["sort"] if singletons else []) + (["geometric_index"] if kind == "geometric" else [])
+    geometric = kind == "geometric" and family != "chain"
+    rules = (["sort"] if singletons else []) + (["geometric_index"] if geometric else [])
     lams = pp.lambda_grid(0.0, 1.0, 21)
     for rule in rules:
         for lam, got in zip(lams, pp.solve_grid(inst, lams, strategy=rule)):
             want = _per_lambda_index_order(inst, u, v, lam, rule)
             assert (got.allocation.block_order, got.tie_broken) == want, (rule, lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_tiered_order_ties_each_value_with_its_run_anchor_only(n):
+    # Values 6e-13 apart descend from block 0: each ties with its neighbours,
+    # but the anchor of a run ties only with the next value, so the runs are
+    # the pairs (0, 1), (2, 3), ... and an odd last block stands alone.
+    # Inside a pair the larger secondary, the later block, goes first; one
+    # run over the whole chain would reverse every block.
+    primary = 1.0 + np.arange(n)[::-1] * 6e-13
+    secondary = np.arange(n, dtype=float)
+    pairs = [(i + 1, i) if i + 1 < n else (i,) for i in range(0, n, 2)]
+    want = tuple(b for pair in pairs for b in pair)
+    assert solver._tiered_order(primary, secondary, ()) == (want, n > 1)
