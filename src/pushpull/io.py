@@ -55,7 +55,6 @@ __all__ = [
     "USER_METRICS_HEADER",
     "IngestedUser",
     "render_float",
-    "exact_float",
     "canonical_json",
     "instance_to_document",
     "load_instance",
@@ -81,7 +80,6 @@ __all__ = [
     "noise_payload",
     "refine_payload",
     "summary_payload",
-    "report_document",
     "render_report",
 ]
 
@@ -154,26 +152,18 @@ def render_float(value: float) -> str:
     return f"{v:.12g}"
 
 
-def exact_float(value: float) -> str:
-    """Full-precision shortest round-trip rendering (instance documents)."""
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValidationError("float: cannot render a non-finite value")
-    return repr(v)
-
-
 def _render_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def canonical_json(value, float_renderer=render_float) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, fixed floats."""
+def canonical_json(value) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, floats by render_float."""
     out: list[str] = []
-    _emit_json(value, float_renderer, 0, out)
+    _emit_json(value, 0, out)
     return "".join(out)
 
 
-def _emit_json(value, render, level, out) -> None:
+def _emit_json(value, level, out) -> None:
     pad = "  " * level
     inner = "  " * (level + 1)
     if value is None:
@@ -183,7 +173,7 @@ def _emit_json(value, render, level, out) -> None:
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        out.append(render(float(value)))
+        out.append(render_float(float(value)))
     elif isinstance(value, str):
         out.append(json.dumps(value, ensure_ascii=False))
     elif isinstance(value, Mapping):
@@ -195,7 +185,7 @@ def _emit_json(value, render, level, out) -> None:
         lookup = {str(k): v for k, v in value.items()}
         for n, key in enumerate(keys):
             out.append(f"{inner}{json.dumps(key, ensure_ascii=False)}: ")
-            _emit_json(lookup[key], render, level + 1, out)
+            _emit_json(lookup[key], level + 1, out)
             out.append(",\n" if n + 1 < len(keys) else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple, np.ndarray)):
@@ -206,7 +196,7 @@ def _emit_json(value, render, level, out) -> None:
         out.append("[\n")
         for n, item in enumerate(items):
             out.append(inner)
-            _emit_json(item, render, level + 1, out)
+            _emit_json(item, level + 1, out)
             out.append(",\n" if n + 1 < len(items) else "\n")
         out.append(pad + "]")
     else:
@@ -370,7 +360,7 @@ def instance_text(instance: Instance) -> str:
     keys, two-space indent, full-precision floats.
 
     An instance document's floats are finite and its keys are strings, so
-    this is the text of canonical_json with exact_float.
+    this is canonical_json's layout with every float rendered by repr.
     """
     return json.dumps(instance_to_document(instance), indent=2, sort_keys=True, ensure_ascii=False)
 
@@ -643,14 +633,7 @@ def frontier_payload(front: Frontier, critical_lambda: float | None) -> dict:
     }
 
 
-def report_document(kind: str, input_digest: str, payload) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "input_digest": input_digest,
-        "report": payload,
-    }
-
-
 def render_report(kind: str, input_digest: str, payload) -> str:
-    return canonical_json(report_document(kind, input_digest, payload)) + "\n"
+    """The report document of a command's payload, as canonical JSON text."""
+    document = {"schema_version": SCHEMA_VERSION, "kind": kind, "input_digest": input_digest, "report": payload}
+    return canonical_json(document) + "\n"

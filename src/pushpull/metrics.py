@@ -155,21 +155,19 @@ def _ratio(numerator: float, denominator: float) -> tuple[float, bool]:
     return numerator / denominator, False
 
 
-def _endpoints(
+def _solve_with_endpoints(
     instance: Instance,
-    results: Sequence[SolveResult],
+    lams: Sequence[float],
     posterior: PosteriorModel | None,
     strategy: str,
-) -> tuple[float, float]:
-    """(U_1, V_0), reusing any of `results` already solved at lambda 1 or 0.
-
-    The endpoints missing from `results` are solved in one grid call.
-    """
+) -> tuple[tuple[SolveResult, ...], float, float]:
+    """The results at lams, then U_1 and V_0: one grid call solves lams and
+    whichever of 1 and 0 they lack."""
+    lams = [float(lam) for lam in lams]
+    missing = [lam for lam in (1.0, 0.0) if lam not in lams]
+    results = solve_grid(instance, [*lams, *missing], posterior, strategy)
     by_lam = {r.lam: r for r in results}
-    missing = [lam for lam in (1.0, 0.0) if lam not in by_lam]
-    if missing:
-        by_lam.update((r.lam, r) for r in solve_grid(instance, missing, posterior, strategy))
-    return by_lam[1.0].agent_value, by_lam[0.0].advocate_value
+    return results[: len(lams)], by_lam[1.0].agent_value, by_lam[0.0].advocate_value
 
 
 def _point(at_lam: SolveResult, u_1: float, v_0: float) -> AgencyMetrics:
@@ -196,8 +194,8 @@ def agency_metrics(
     strategy: str = "auto",
 ) -> AgencyMetrics:
     """Metrics at a single lambda: one grid call solves lam and whichever of 1 and 0 lam is not."""
-    results = solve_grid(instance, dict.fromkeys((float(lam), 1.0, 0.0)), posterior, strategy)
-    return _point(results[0], *_endpoints(instance, results, posterior, strategy))
+    (at_lam,), u_1, v_0 = _solve_with_endpoints(instance, [lam], posterior, strategy)
+    return _point(at_lam, u_1, v_0)
 
 
 def frontier(
@@ -206,10 +204,9 @@ def frontier(
     posterior: PosteriorModel | None = None,
     strategy: str = "auto",
 ) -> Frontier:
-    """Metrics across a lambda grid; U_1 and V_0 computed once and shared."""
-    lams = _bounded_grid(instance, grid)
-    results = solve_grid(instance, lams, posterior, strategy)
-    u_1, v_0 = _endpoints(instance, results, posterior, strategy)
+    """Metrics across a lambda grid; U_1 and V_0 computed once and shared,
+    in the one grid call that solves the grid."""
+    results, u_1, v_0 = _solve_with_endpoints(instance, _bounded_grid(instance, grid), posterior, strategy)
     points = tuple(_point(r, u_1, v_0) for r in results)
     return Frontier(points=points, grid_spec=(float(grid[0]), float(grid[1]), int(grid[2])))
 
@@ -340,8 +337,8 @@ def refine_compare(
         raise ValidationError("refine: new partition does not refine the instance partition")
     refined = dataclasses.replace(instance, partition=refined_partition)
     lams = _bounded_grid(instance, grid)
-    base_results = solve_grid(instance, lams, posterior, strategy)
-    refined_results = solve_grid(refined, lams, posterior, strategy)
+    base_results, base_u1, base_v0 = _solve_with_endpoints(instance, lams, posterior, strategy)
+    refined_results, refined_u1, refined_v0 = _solve_with_endpoints(refined, lams, posterior, strategy)
     points = tuple(
         RefinePoint(
             lam=b.lam,
@@ -351,8 +348,6 @@ def refine_compare(
         )
         for b, r in zip(base_results, refined_results)
     )
-    base_u1, base_v0 = _endpoints(instance, base_results, posterior, strategy)
-    refined_u1, refined_v0 = _endpoints(refined, refined_results, posterior, strategy)
     return RefineComparison(
         points=points,
         base_u1=base_u1,

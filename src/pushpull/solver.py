@@ -202,17 +202,17 @@ def _tiered_order(primary: np.ndarray, secondary: np.ndarray, stretches) -> tupl
 
 
 def _block_contribs(partition: Partition, scores, weights: np.ndarray) -> np.ndarray:
-    """contrib[b, off] = value of block b when its run starts at position off.
+    """contrib[off * K + b] = value of block b when its run starts at position off.
 
-    Shape (K, M+1); the column at off = M - len(block) is the last valid
-    start, later columns stay zero and are never indexed.
+    Past a block's last valid start, off = M - len(block), its entries stay
+    zero and are never indexed.
     """
     m = partition.size
-    contrib = np.zeros((partition.block_count, m + 1))
+    contrib = np.zeros((m + 1, partition.block_count))
     for b, block in enumerate(partition.blocks):
         vals = scores[list(block)]
-        contrib[b, : m - len(block) + 1] = np.correlate(weights, vals, mode="valid")
-    return contrib
+        contrib[: m - len(block) + 1, b] = np.correlate(weights, vals, mode="valid")
+    return contrib.ravel()
 
 
 class _Plan(NamedTuple):
@@ -222,8 +222,8 @@ class _Plan(NamedTuple):
     the summed length of the blocks in S, and levels[L] lists the subsets
     of L blocks in ascending order. steps[L] holds (at, nxt) for all of
     level L: for the c-th block absent from levels[L][j], at[j, c] is its
-    row of _by_position's table when placed at offsets[levels[L][j]], and
-    nxt[j, c] the subset after placing it.
+    row off * K + b of the block tables when placed at off =
+    offsets[levels[L][j]], and nxt[j, c] the subset after placing it.
 
     key is (lengths, K, first). A plan with a limit was asked for the
     subsets whose offset lies below it; when some subset's offset does not,
@@ -250,12 +250,18 @@ class _Subsets(NamedTuple):
     H fill one block of 2**h rows of the value table, rows H << h on. A
     layout of h or fewer blocks is a single block: its high plan has no
     blocks. Under a horizon both plans carry it as their limit and are cut
-    to it; each block runs the low plan cut to what its high offset leaves
-    (see _low_plans).
+    to it; each block runs the low plan cut to what its high offset leaves.
+
+    k is K and horizon the walk's: P, or M without a cut. Past a single
+    block, groups[L] holds (part, plan) pairs: the blocks of the high
+    subsets high.levels[L][part] run plan, the low plan cut for them.
     """
 
     low: _Plan
     high: _Plan
+    k: int
+    horizon: int
+    groups: list
 
 
 class _Memo:
@@ -356,26 +362,18 @@ def _subset_tables(lengths, horizon: int | None = None) -> _Subsets:
     h = min(k, _DP_LOW_BLOCKS)
     low = _plan(lengths[:h], k, 0, horizon)
     high = _plan(lengths[h:], k, h, horizon)
-    if k > h:
-        # Build the cut low plans before a pass allocates its tables: a plan
-        # built inside a pass sits on the heap above them and keeps their
-        # memory from going back to the system. That raised the peak RSS of
-        # the frontier_exact benchmark from 59 to 65 MB.
-        for level in range(len(high.levels)):
-            _low_plans(low, high, level)
-    return _Subsets(low, high)
-
-
-def _low_plans(low: _Plan, high: _Plan, level: int):
-    """(part, plan) pairs for one high level: the blocks of the high subsets
-    high.levels[level][part] run the low plan cut to what their offset
-    leaves of the horizon. Without a horizon one part holds them all.
-    """
-    if low.limit is None:
-        return [(slice(None), low)]
-    # Every limit past the low blocks' total gets the one uncut plan.
-    limits = np.minimum(low.limit - high.offsets[high.levels[level]], low.offsets[-1] + 1)
-    return [(np.flatnonzero(limits == limit), _plan(*low.key, limit)) for limit in np.unique(limits).tolist()]
+    groups = []
+    for sel in high.levels if k > h else ():
+        if horizon is None:
+            groups.append([(slice(None), low)])
+            continue
+        # Built before a pass allocates its tables: a plan built in a pass
+        # sits above them on the heap and keeps their memory from the system
+        # (peak RSS of frontier_exact 59 -> 65 MB). Every limit past the low
+        # blocks' total gets the one uncut plan.
+        limits = np.minimum(horizon - high.offsets[sel], low.offsets[-1] + 1)
+        groups.append([(np.flatnonzero(limits == at), _plan(*low.key, at)) for at in np.unique(limits).tolist()])
+    return _Subsets(low, high, k, sum(lengths) if horizon is None else horizon, groups)
 
 
 def _plan_slices(plan: _Plan, values):
@@ -416,7 +414,7 @@ def _dp_slices(tables: _Subsets, *values):
     values are (2**K, rows) tables indexed by subset. Yields (views, sel,
     at, nxt, merge): for each value table a view t, whose t[sel] takes the
     best candidate of the slice and whose t[nxt[:, c]] is read for the c-th
-    candidate block, whose rows of _by_position's table are at[:, c].
+    candidate block, whose rows of the block tables are at[:, c].
 
     High levels run from the top. At each, whole-block steps first fill
     every block of the level from its absent high blocks: there t views the
@@ -442,11 +440,11 @@ def _dp_slices(tables: _Subsets, *values):
     if not top:
         yield from _plan_slices(low, values)
         return
-    k = h + top
+    k = tables.k
     scaled = low.offsets * k
     for level in range(top, -1, -1):
         merge = level < top
-        for part, plan in _low_plans(low, high, level):
+        for part, plan in tables.groups[level]:
             hs = high.levels[level][part]
             if merge:
                 at_high, nxt_high = (index[part] for index in high.steps[level])
@@ -471,12 +469,6 @@ def _dp_slices(tables: _Subsets, *values):
                 yield from _outer_slices(values, merge, blocks, (sel, *step))
 
 
-def _by_position(contrib: np.ndarray) -> np.ndarray:
-    """Block tables (rows, K, M+1) as one ((M+1) * K, rows) array: row off * K + b
-    holds block b at offset off for every objective row."""
-    return np.ascontiguousarray(contrib.transpose(2, 1, 0)).reshape(-1, contrib.shape[0])
-
-
 def _best(cand: np.ndarray) -> np.ndarray:
     """cand.max(axis=1). Past a few dozen cells a column, one np.maximum per
     candidate column: a reduction over that short middle axis runs many
@@ -495,15 +487,13 @@ def _dp_value_to_go(contrib: np.ndarray, tables: _Subsets) -> np.ndarray:
 
     The offset of the next block depends only on the set S (sum of placed
     lengths), never on their order, which is what makes the subset DP
-    exact (the Held-Karp recursion). contrib has one (K, M+1) table of
-    block values per objective row r. Each step takes the max over a set
-    of absent blocks at once; max is exact, so the order of blocks is moot.
+    exact (the Held-Karp recursion). contrib ((M+1) * K, rows) holds the
+    block table of objective row r in column r. Each step takes the max over
+    a set of absent blocks at once; max is exact, so their order is moot.
     """
-    rows, k, _ = contrib.shape
-    flat = _by_position(contrib)
-    go = np.zeros((1 << k, rows))
+    go = np.zeros((1 << tables.k, contrib.shape[1]))
     for (table,), sel, at, nxt, merge in _dp_slices(tables, go):
-        cand = np.take(flat, at, axis=0)
+        cand = np.take(contrib, at, axis=0)
         cand += np.take(table, nxt, axis=0)
         best = _best(cand)
         if merge:
@@ -516,21 +506,19 @@ def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     """Best agent value over continuations that stay objective-tied.
 
     One column per objective row r of contrib_obj, whose value-to-go is
-    go[:, r] and whose tolerance is tol[r]. contrib_agent is the agent table
-    every row shares, or one per row. Only continuations within tol[r] of
-    the optimal value-to-go at every step participate; everything else is
-    excluded with -inf.
+    go[:, r] and whose tolerance is tol[r]. contrib_agent is the agent
+    table every row shares, as one column, or one column per row. Only
+    continuations within tol[r] of the optimal value-to-go at every step
+    participate; everything else is excluded with -inf.
     """
-    flat_obj = _by_position(contrib_obj)
-    flat_agent = _by_position(contrib_agent.reshape(-1, *contrib_obj.shape[1:]))
     gu = np.zeros(go.shape)
     for (value, agent), sel, at, nxt, merge in _dp_slices(tables, go, gu):
-        obj = np.take(flat_obj, at, axis=0)
+        obj = np.take(contrib_obj, at, axis=0)
         obj += np.take(value, nxt, axis=0)
         obj -= value[sel][:, None]
         ok = np.abs(obj, out=obj) <= tol
         cand = np.take(agent, nxt, axis=0)
-        cand += np.take(flat_agent, at, axis=0)
+        cand += np.take(contrib_agent, at, axis=0)
         cand[~ok] = -np.inf
         best = _best(cand)
         if merge:
@@ -539,24 +527,24 @@ def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     return gu
 
 
-def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
+def _dp_walk(obj, agent, go, walk, gu=None):
     """Greedy reconstruction of one DP row along tied-optimal branches.
 
-    go and gu are the row's value and agent tables. offsets is (low, high,
-    h, P), lists whose low[S & (2**h - 1)] + high[S >> h] is the summed
-    length of the blocks in S, and the horizon P, from which on the
-    remaining blocks follow in ascending order. Without gu the walk returns
-    None at its first tie before P, so a row without one never needs the
-    agent pass.
+    obj and agent are the row's objective and agent block tables as lists,
+    entry off * K + b, and go and gu its value and agent tables. walk is
+    (low, high, h, K, P): lists whose low[S & (2**h - 1)] + high[S >> h] is
+    the summed length of the blocks in S, and the horizon P, from which on
+    the remaining blocks follow in ascending order. Without gu the walk
+    returns None at its first tie before P, so a row without one never
+    needs the agent pass.
     """
-    k = contrib_obj.shape[0]
+    low, high, h, k, horizon = walk
     full = (1 << k) - 1
-    low, high, h, horizon = offsets
     mask = (1 << h) - 1
     tol = _tol(go.item(0))
-    obj, value = contrib_obj.tolist(), go.item
+    value = go.item
     if gu is not None:
-        agent, agent_value = contrib_agent.tolist(), gu.item
+        agent_value = gu.item
     state = 0
     order: list[int] = []
     tie = False
@@ -565,12 +553,13 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
         if off >= horizon:
             rest = [i for i in range(k) if not (state >> i) & 1]
             return (*order, *rest), tie or len(rest) > 1
+        base = off * k
         target = value(state)
         cands = [
             i
             for i in range(k)
             if not (state >> i) & 1
-            and abs(obj[i][off] + value(state | (1 << i)) - target) <= tol
+            and abs(obj[base + i] + value(state | (1 << i)) - target) <= tol
         ]
         if not cands:
             raise SolverContractError("internal: reconstruction lost the optimum")
@@ -578,7 +567,7 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
             if gu is None:
                 return None
             tie = True
-            uvals = np.array([agent[i][off] + agent_value(state | (1 << i)) for i in cands])
+            uvals = np.array([agent[base + i] + agent_value(state | (1 << i)) for i in cands])
             cands = [i for i, near in zip(cands, _near_best(uvals)) if near]
         choice = cands[0]
         order.append(choice)
@@ -587,27 +576,33 @@ def _dp_walk(contrib_obj, contrib_agent, go, offsets, gu=None):
 
 
 def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
-    """Solve one subset DP per objective row; contrib_obj is (rows, K, M+1).
+    """Solve one subset DP per objective row, column r of contrib_obj.
 
-    contrib_agent is the agent table (K, M+1) that every row shares, or one
-    per row. Rows whose walk meets a tie share one agent pass, then walk again.
+    contrib_agent is the agent table that every row shares, as one column,
+    or one column per row. Rows whose walk meets a tie share one agent
+    pass, then walk again.
     """
     go = _dp_value_to_go(contrib_obj, tables)
-    rows = range(len(contrib_obj))
-    low, high, m = tables.low, tables.high, contrib_obj.shape[2] - 1
-    offsets = low.offsets.tolist(), high.offsets.tolist(), len(low.levels) - 1, low.limit or m
-    orders = [_dp_walk(contrib_obj[r], None, go[:, r], offsets) for r in rows]
+    low, high = tables.low, tables.high
+    walk = low.offsets.tolist(), high.offsets.tolist(), len(low.levels) - 1, tables.k, tables.horizon
+    # The walk reads no offset past its horizon. A row's list lives for one
+    # walk: tied rows' lists kept through the agent pass pinned the heap
+    # above its tables more often and raised the peak RSS of frontier_exact.
+    read = tables.horizon * tables.k
+    rows = range(contrib_obj.shape[1])
+    orders = [_dp_walk(contrib_obj[:read, r].tolist(), None, go[:, r], walk) for r in rows]
     tied = [r for r in rows if orders[r] is None]
     if tied:
         # When every row tied, the agent pass reads go itself, not a copy.
         tied_go = go if len(tied) == len(rows) else go.take(tied, axis=1)
         tol = np.array([_tol(go[0, r]) for r in tied])
-        shared = contrib_agent.ndim == 2
-        agents = contrib_agent if shared else contrib_agent[tied]
-        gu = _dp_agent_to_go(contrib_obj[tied], agents, tied_go, tables, tol)
+        shared = contrib_agent.shape[1] == 1
+        agents = contrib_agent if shared else contrib_agent.take(tied, axis=1)
+        gu = _dp_agent_to_go(contrib_obj.take(tied, axis=1), agents, tied_go, tables, tol)
+        agent_lists = agents[:read].T.tolist()
         for j, r in enumerate(tied):
-            agent = agents if shared else agents[j]
-            orders[r] = _dp_walk(contrib_obj[r], agent, go[:, r], offsets, gu[:, j])
+            obj = contrib_obj[:read, r].tolist()
+            orders[r] = _dp_walk(obj, agent_lists[0 if shared else j], go[:, r], walk, gu[:, j])
     return orders
 
 
@@ -628,29 +623,28 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
     objective never decreases during the search.
     """
     k = partition.block_count
-    lengths = partition.block_lengths()
     # Both tables are read as flat views of Python floats, entry (b, off) at
-    # b * width + off: the same doubles, summed in the same association.
-    width = contrib_obj.shape[1]
-    obj, agent = memoryview(contrib_obj.ravel()), memoryview(contrib_agent.ravel())
+    # base + b with base = off * K: a block of length l moves base by l * K.
+    steps = [length * k for length in partition.block_lengths()]
+    obj, agent = memoryview(contrib_obj), memoryview(contrib_agent)
     order = list(range(k))
     cur = 0.0
-    off = 0
+    base = 0
     for b in order:
-        cur += obj[b * width + off]
-        off += lengths[b]
+        cur += obj[base + b]
+        base += steps[b]
     tie = False
     tol = _tol(cur)
     for _ in range(8 * k + 32):
         changed = False
-        off = 0
+        base = 0
         # a is the block at pos. A swap carries it on to pos + 1, where it
         # meets the next block; otherwise that next block takes its place.
         a = order[0]
         for pos in range(k - 1):
             b = order[pos + 1]
-            la, lb = lengths[a], lengths[b]
-            at_a, at_b = a * width + off, b * width + off
+            la, lb = steps[a], steps[b]
+            at_a, at_b = base + a, base + b
             before = obj[at_a] + obj[at_b + la]
             after = obj[at_b] + obj[at_a + lb]
             delta = after - before
@@ -676,9 +670,9 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
                 cur += delta
                 tol = _tol(cur)
                 changed = True
-                off += lb
+                base += lb
             else:
-                off += la
+                base += la
                 a = b
         if not changed:
             break
@@ -868,12 +862,12 @@ def _subset_dp_orders(instance, beliefs):
     chunk = max(1, _DP_CELL_BUDGET >> partition.block_count)
     out = []
     for start in range(0, len(lams), chunk):
-        rows = np.array(lams[start : start + chunk])[:, None, None]
+        rows = np.array(lams[start : start + chunk])
         held = which[start : start + chunk]
         if held[0] == held[-1]:
-            contrib_u, contrib_v = contribs[held[0]]
+            contrib_u, contrib_v = (side[:, None] for side in contribs[held[0]])
         else:
-            contrib_u, contrib_v = (np.array(side) for side in zip(*(contribs[b] for b in held)))
+            contrib_u, contrib_v = (np.column_stack(side) for side in zip(*(contribs[b] for b in held)))
         contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
         out.extend(_dp_orders(tables, contrib_obj, contrib_u))
     return out

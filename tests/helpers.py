@@ -79,3 +79,15 @@ def random_discount(rng, m):
     if pick == 1:
         return pp.make_discount("cutoff", m, cutoff=int(rng.integers(1, m + 1)))
     return pp.make_discount("geometric", m, beta=float(rng.choice([0.3, 0.5, 0.9])))
+
+
+def block_major_contribs(partition, scores, weights):
+    """contrib[b, off], shape (K, M+1): the value of block b when its run
+    starts at position off, 0.0 past its last start. The solver keeps the
+    same values position-major, entry off * K + b."""
+    m = partition.size
+    scores = np.asarray(scores, dtype=float)
+    contrib = np.zeros((partition.block_count, m + 1))
+    for b, block in enumerate(partition.blocks):
+        contrib[b, : m - len(block) + 1] = np.correlate(weights, scores[list(block)], mode="valid")
+    return contrib

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import pushpull as pp
 from pushpull import metrics, solver
 
-from helpers import make_instance, random_partition
+from helpers import block_major_contribs, make_instance, random_partition
 
 
 def _reference_offsets(lengths):
@@ -84,6 +84,30 @@ def _bits(table):
     return np.ascontiguousarray(table).tobytes()
 
 
+def _position_major(contrib):
+    """Block-major tables (rows, K, M+1) as the kernel takes them: one
+    ((M+1) * K, rows) table whose entry off * K + b holds block b at off."""
+    return contrib.transpose(2, 1, 0).reshape(-1, contrib.shape[0])
+
+
+def _block_tables(inst, lams):
+    """The block-major agent table (K, M+1) of inst and its objective
+    tables (rows, K, M+1) at lams."""
+    part, weights = inst.partition, inst.discount.weights
+    contrib_u = block_major_contribs(part, inst.utilities.agent[0], weights)
+    contrib_v = block_major_contribs(part, inst.utilities.advocate[0], weights)
+    rows = np.array(lams)[:, None, None]
+    return contrib_u, rows * contrib_u + (1.0 - rows) * contrib_v
+
+
+def _kernel_tables(contrib_obj, contrib_u, tables, tol):
+    """The kernel's value and agent tables for block-major inputs."""
+    obj = _position_major(contrib_obj)
+    go = solver._dp_value_to_go(obj, tables)
+    gu = solver._dp_agent_to_go(obj, contrib_u.T.reshape(-1, 1), go, tables, tol)
+    return go, gu
+
+
 @st.composite
 def instances(draw, max_blocks):
     """Random, tie-heavy integer or cutoff instances with up to max_blocks blocks."""
@@ -111,20 +135,14 @@ def _check_tables(inst, lams):
 
     Returns the subset tables the kernel used.
     """
-    part, weights = inst.partition, inst.discount.weights
-    u, v = inst.utilities.agent[0], inst.utilities.advocate[0]
-    contrib_u = solver._block_contribs(part, np.asarray(u, dtype=float), weights)
-    contrib_v = solver._block_contribs(part, np.asarray(v, dtype=float), weights)
-    rows = np.array(lams)[:, None, None]
-    contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
-    lengths = part.block_lengths()
+    contrib_u, contrib_obj = _block_tables(inst, lams)
+    lengths = inst.partition.block_lengths()
     offsets, levels = _reference_offsets(lengths), _reference_levels(len(lengths))
 
     want_go = _reference_value_to_go(contrib_obj, offsets, levels)
     tol = np.array([solver._tol(value) for value in want_go[:, 0]])
     tables = solver._subset_tables(lengths)
-    go = solver._dp_value_to_go(contrib_obj, tables)
-    gu = solver._dp_agent_to_go(contrib_obj, contrib_u, go, tables, tol)
+    go, gu = _kernel_tables(contrib_obj, contrib_u, tables, tol)
     assert _bits(go.T) == _bits(want_go)
     for r in range(len(lams)):
         want_gu = _reference_agent_to_go(
@@ -139,14 +157,38 @@ def _low_key(lengths):
     return tuple(lengths[: solver._DP_LOW_BLOCKS]), len(lengths), 0
 
 
-def _plan_arrays(tables):
-    """Every array of a layout's low and high plans."""
-    for plan in tables:
+def _plan_arrays(*plans):
+    """Every array of plans."""
+    for plan in plans:
         yield plan.offsets
         yield from plan.levels
         for at, nxt in plan.steps:
             yield at
             yield nxt
+
+
+@pytest.mark.parametrize("layout", ["random", "cutoff", "one_object_blocks"])
+def test_block_contribs_are_the_transpose_of_the_block_major_build(layout):
+    # Bit for bit, the 0.0 entries past each block's last start included.
+    rng = np.random.default_rng(19)
+    m = 23
+    for _ in range(20):
+        scores = rng.random(m) * 10
+        if layout == "one_object_blocks":
+            part = pp.Partition(tuple((i,) for i in range(m)))
+        else:
+            part = random_partition(rng, m, int(rng.integers(1, m + 1)))
+        if layout == "cutoff":
+            d = pp.make_discount("cutoff", m, cutoff=int(rng.integers(1, m + 1)))
+        else:
+            d = pp.make_discount("dcg", m)
+        k = part.block_count
+        got = solver._block_contribs(part, scores, d.weights)
+        assert got.shape == ((m + 1) * k,)
+        assert _bits(got) == _bits(block_major_contribs(part, scores, d.weights).T)
+        for b, block in enumerate(part.blocks):
+            past = got[(m - len(block) + 1) * k + b :: k]
+            assert len(past) == len(block) and not past.any() and not np.signbit(past).any()
 
 
 def test_every_plan_matches_the_reference_subsets_offsets_and_steps():
@@ -206,7 +248,10 @@ def test_value_and_agent_tables_match_the_per_block_recursion(inst, cold, warm, 
         assert _low_key(lengths) in solver._memo.entries
         reused = _check_tables(inst, warm)
     assert len(built.low.levels) - 1 == min(low, len(lengths))
-    assert all(a is b for a, b in zip(_plan_arrays(reused), _plan_arrays(built), strict=True))
+    assert all(
+        a is b
+        for a, b in zip(_plan_arrays(reused.low, reused.high), _plan_arrays(built.low, built.high), strict=True)
+    )
 
 
 def _layout_instance(lengths, seed, discount="cutoff"):
@@ -233,7 +278,7 @@ def test_a_layout_past_the_low_width_reuses_the_plan_of_its_first_blocks():
     head = [1 + i % 3 for i in range(h)]
     first = _check_tables(_layout_instance(head + [2, 1, 3, 1], 1), [0.0, 0.5, 1.0])
     again = _check_tables(_layout_instance(head + [1, 3, 1, 2], 2), [0.25] * 9)
-    assert all(a is b for a, b in zip(_plan_arrays([again.low]), _plan_arrays([first.low]), strict=True))
+    assert all(a is b for a, b in zip(_plan_arrays(again.low), _plan_arrays(first.low), strict=True))
     assert again.high.steps is not first.high.steps
     # Nothing in the memo is wider than h blocks.
     assert all(
@@ -243,7 +288,8 @@ def test_a_layout_past_the_low_width_reuses_the_plan_of_its_first_blocks():
 
 def test_memoized_arrays_are_read_only():
     for lengths in ((2, 1, 3), tuple(1 + i % 4 for i in range(14))):
-        for array in _plan_arrays(solver._subset_tables(lengths)):
+        tables = solver._subset_tables(lengths)
+        for array in _plan_arrays(tables.low, tables.high):
             with pytest.raises(ValueError):
                 array[...] = 0
 
@@ -328,9 +374,9 @@ def test_metrics_at_the_block_limit_hold_one_row_of_value_to_go(monkeypatch):
     cells = []
     value_to_go = solver._dp_value_to_go
 
-    def spy(contrib, *args):
-        cells.append(contrib.shape[0] << contrib.shape[1])
-        return value_to_go(contrib, *args)
+    def spy(contrib, tables):
+        cells.append(contrib.shape[1] << tables.k)
+        return value_to_go(contrib, tables)
 
     monkeypatch.setattr(solver, "_dp_value_to_go", spy)
     pp.agency_metrics(pp.generate(spec), 0.5, strategy="subset_dp")
@@ -351,7 +397,7 @@ def test_cutoff_frontier_runs_the_agent_pass_once_per_chunk(monkeypatch):
     agent_to_go = solver._dp_agent_to_go
 
     def spy(contrib_obj, *args):
-        passes.append(len(contrib_obj))
+        passes.append(contrib_obj.shape[1])
         return agent_to_go(contrib_obj, *args)
 
     monkeypatch.setattr(solver, "_dp_agent_to_go", spy)
@@ -376,7 +422,7 @@ def test_rows_that_tie_only_past_the_horizon_skip_the_agent_pass(monkeypatch):
     agent_to_go = solver._dp_agent_to_go
 
     def spy(contrib_obj, *args):
-        passes.append(len(contrib_obj))
+        passes.append(contrib_obj.shape[1])
         return agent_to_go(contrib_obj, *args)
 
     monkeypatch.setattr(solver, "_dp_agent_to_go", spy)
@@ -430,13 +476,9 @@ def test_tables_under_a_horizon_match_the_recursion_on_every_subset(case, lams, 
     # The kernel solves only the subsets that fill fewer than P positions;
     # every other subset must hold the +0.0 that the full recursion gives it.
     slice_cells, inst = case
-    part, weights = inst.partition, inst.discount.weights
-    u, v = inst.utilities.agent[0], inst.utilities.advocate[0]
-    contrib_u = solver._block_contribs(part, np.asarray(u, dtype=float), weights)
-    contrib_v = solver._block_contribs(part, np.asarray(v, dtype=float), weights)
-    rows = np.array(lams)[:, None, None]
-    contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
-    lengths = part.block_lengths()
+    weights = inst.discount.weights
+    contrib_u, contrib_obj = _block_tables(inst, lams)
+    lengths = inst.partition.block_lengths()
     offsets, levels = _reference_offsets(lengths), _reference_levels(len(lengths))
     want_go = _reference_value_to_go(contrib_obj, offsets, levels)
     tol = np.array([solver._tol(value) for value in want_go[:, 0]])
@@ -445,9 +487,7 @@ def test_tables_under_a_horizon_match_the_recursion_on_every_subset(case, lams, 
     with mock.patch.object(solver, "_DP_SLICE_CELLS", slice_cells), mock.patch.object(
         solver, "_DP_LOW_BLOCKS", low
     ):
-        tables = solver._subset_tables(lengths, horizon)
-        go = solver._dp_value_to_go(contrib_obj, tables)
-        gu = solver._dp_agent_to_go(contrib_obj, contrib_u, go, tables, tol)
+        go, gu = _kernel_tables(contrib_obj, contrib_u, solver._subset_tables(lengths, horizon), tol)
     assert _bits(go.T) == _bits(want_go)
     for r in range(len(lams)):
         want_gu = _reference_agent_to_go(contrib_obj[r], contrib_u, want_go[r], offsets, levels, tol[r])

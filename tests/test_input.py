@@ -163,5 +163,4 @@ def test_only_validation_errors_escape_load_instance(document):
         inst = io.load_instance(document)
     except pp.ValidationError:
         return
-    doc = io.instance_to_document(inst)
-    assert io.load_instance(json.loads(io.canonical_json(doc, io.exact_float))) == inst
+    assert io.load_instance(json.loads(io.instance_text(inst))) == inst

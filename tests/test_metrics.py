@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,34 @@ def test_frontier_interior_grid_still_normalizes_by_endpoints():
     assert mid.lam == 0.5
     assert mid.pull == full.pull
     assert mid.push == full.push
+
+
+def test_frontier_and_refine_compare_make_one_solver_call_per_instance(monkeypatch):
+    # An interior grid lacks both endpoints; each instance still takes one
+    # grid call, which solves them with the grid.
+    inst = pp.generate(pp.ScenarioSpec(kind="random", seed=4, objects=9, blocks=4, types=2))
+    calls = []
+    solve_grid = metrics.solve_grid
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return solve_grid(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "solve_grid", spy)
+    front = pp.frontier(inst, (0.2, 0.8, 4))
+    assert len(calls) == 1
+    assert [p.lam for p in front.points] == list(pp.lambda_grid(0.2, 0.8, 4))
+    for point in front.points:
+        assert point == pp.agency_metrics(inst, point.lam)
+
+    calls.clear()
+    refined = pp.singletonize(inst.partition)
+    comparison = pp.refine_compare(inst, refined, (0.2, 0.8, 4))
+    assert len(calls) == 2
+    base = pp.agency_metrics(inst, 0.5)
+    fine = pp.agency_metrics(dataclasses.replace(inst, partition=refined), 0.5)
+    assert (comparison.base_u1, comparison.base_v0) == (base.u_1, base.v_0)
+    assert (comparison.refined_u1, comparison.refined_v0) == (fine.u_1, fine.v_0)
 
 
 def test_critical_lambda_needs_three_points():

@@ -10,7 +10,7 @@ import pushpull as pp
 from pushpull import solver
 from pushpull.solver import brute_force_oracle, combined_scores
 
-from helpers import e1_instance, make_instance, random_discount, random_partition
+from helpers import block_major_contribs, e1_instance, make_instance, random_discount, random_partition
 
 
 def _solve(scores, discount, blocks=None, strategy="auto"):
@@ -265,9 +265,10 @@ def _reference_local_search(partition, contrib_obj, contrib_agent, block_keys):
 
 
 def _reference_local_search_orders(instance, u, v, lams):
+    """_reference_local_search per lambda, on block-major (K, M+1) tables."""
     part, weights = instance.partition, instance.discount.weights
-    contrib_u = solver._block_contribs(part, u, weights)
-    contrib_v = solver._block_contribs(part, v, weights)
+    contrib_u = block_major_contribs(part, u, weights)
+    contrib_v = block_major_contribs(part, v, weights)
     return [
         _reference_local_search(
             part,
