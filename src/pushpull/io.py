@@ -26,6 +26,7 @@ import numpy as np
 from . import scenarios
 from .core import (
     Catalog,
+    DiscountCurve,
     Instance,
     Partition,
     TypeSpace,
@@ -145,7 +146,10 @@ def render_float(value: float) -> str:
         raise ValidationError("float: cannot render a non-finite value")
     if v == 0.0:
         return "0"
-    for precision in range(1, 13):
+    # repr is the shortest decimal that round-trips, so no precision below
+    # its count of significant digits can.
+    digits = repr(abs(v)).partition("e")[0].replace(".", "").strip("0")
+    for precision in range(len(digits), 13):
         text = f"{v:.{precision}g}"
         if float(text) == v:
             return text
@@ -475,22 +479,30 @@ def ingest_relevance_log(
         entry["advocate"].append(scores[1])
     if problems:
         raise ValidationError(problems)
+    # Users of one catalog size share its curve; a size whose curve fails
+    # is tried again for each of its users, so each lists the violation.
+    params = dict(discount_params or {})
+    discounts: dict[int, DiscountCurve] = {}
+    type_space = TypeSpace(types=("user",), prior=(1.0,))
+    posterior = prior_posterior(type_space)
     out = []
     for uid, entry in users.items():
         m = len(entry["objects"])
         try:
-            discount = make_discount(discount_kind, m, **dict(discount_params or {}))
+            discount = discounts.get(m)
+            if discount is None:
+                discount = discounts[m] = make_discount(discount_kind, m, **params)
             instance = Instance(
                 catalog=Catalog(tuple(entry["objects"])),
                 partition=Partition(tuple(tuple(ixs) for ixs in entry["blocks"].values())),
-                type_space=TypeSpace(types=("user",), prior=(1.0,)),
+                type_space=type_space,
                 utilities=UtilityTable(agent=[entry["agent"]], advocate=[entry["advocate"]]),
                 discount=discount,
             )
         except ValidationError as err:
             problems.extend(f"user {uid!r}: {v}" for v in err.violations)
             continue
-        out.append(IngestedUser(uid, entry["group"], instance, prior_posterior(instance.type_space)))
+        out.append(IngestedUser(uid, entry["group"], instance, posterior))
     if problems:
         raise ValidationError(problems)
     return tuple(out)

@@ -32,6 +32,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -621,59 +622,78 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
     equal-weight plateaus in the discount curve; without it, singleton
     instances under flat stretches can stall below the sort optimum. The
     objective never decreases during the search.
+
+    A sweep compares only the dirty positions: those whose pair a swap has
+    touched since the pair last lost by more than safe. A clean pair would
+    lose again, with no tie, so the swaps, the sweeps and the tie flag are
+    those of comparing every pair in every sweep.
     """
     k = partition.block_count
     # Both tables are read as flat views of Python floats, entry (b, off) at
     # base + b with base = off * K: a block of length l moves base by l * K.
+    # bases[pos] is the base of the block at pos.
     steps = [length * k for length in partition.block_lengths()]
     obj, agent = memoryview(contrib_obj), memoryview(contrib_agent)
     order = list(range(k))
+    bases = [0] * k
     cur = 0.0
     base = 0
-    for b in order:
+    for pos, b in enumerate(order):
+        bases[pos] = base
         cur += obj[base + b]
         base += steps[b]
     tie = False
-    tol = _tol(cur)
+    # No order's objective exceeds K * max|obj| in magnitude, so no _tol(cur)
+    # the search meets reaches safe: a delta above safe always swaps, one
+    # below floor = -safe neither swaps nor ties, and only one between them
+    # reads _tol.
+    safe = 2.0 * _tol(k * float(max(contrib_obj.max(), -contrib_obj.min())))
+    floor = -safe
+    # dirty[pos] for the pair at pos and pos + 1. compress reads it as the
+    # sweep goes, so a swap that marks pos + 1 compares it next, with the
+    # block it moved. dirty[k - 1] belongs to no pair: the marks past either
+    # end, of pos - 1 at 0 and pos + 1 at k - 2, land there.
+    pairs = range(k - 1)
+    dirty = [True] * k
     for _ in range(8 * k + 32):
         changed = False
-        base = 0
-        # a is the block at pos. A swap carries it on to pos + 1, where it
-        # meets the next block; otherwise that next block takes its place.
-        a = order[0]
-        for pos in range(k - 1):
-            b = order[pos + 1]
+        for pos in compress(pairs, dirty):
+            a, b = order[pos], order[pos + 1]
+            base = bases[pos]
             la, lb = steps[a], steps[b]
             at_a, at_b = base + a, base + b
             before = obj[at_a] + obj[at_b + la]
             after = obj[at_b] + obj[at_a + lb]
             delta = after - before
-            swap = False
-            if delta > tol:
-                swap = True
-            elif abs(delta) <= tol:
-                tie = True
-                if delta >= 0.0:
-                    u_before = agent[at_a] + agent[at_b + la]
-                    u_after = agent[at_b] + agent[at_a + lb]
-                    du = u_after - u_before
-                    tol_u = _tol(u_before)
-                    if du > tol_u:
-                        swap = True
-                    elif abs(du) <= tol_u:
-                        if block_keys[b] > block_keys[a]:
-                            swap = True
-                        elif block_keys[b] == block_keys[a] and b < a:
-                            swap = True
-            if swap:
-                order[pos], order[pos + 1] = b, a
-                cur += delta
+            if delta < floor:
+                dirty[pos] = False
+                continue
+            if delta <= safe:
                 tol = _tol(cur)
-                changed = True
-                base += lb
-            else:
-                base += la
-                a = b
+                swap = False
+                if delta > tol:
+                    swap = True
+                elif abs(delta) <= tol:
+                    tie = True
+                    if delta >= 0.0:
+                        u_before = agent[at_a] + agent[at_b + la]
+                        u_after = agent[at_b] + agent[at_a + lb]
+                        du = u_after - u_before
+                        tol_u = _tol(u_before)
+                        if du > tol_u:
+                            swap = True
+                        elif abs(du) <= tol_u:
+                            if block_keys[b] > block_keys[a]:
+                                swap = True
+                            elif block_keys[b] == block_keys[a] and b < a:
+                                swap = True
+                if not swap:
+                    continue
+            order[pos], order[pos + 1] = b, a
+            cur += delta
+            changed = True
+            bases[pos + 1] = base + lb
+            dirty[pos - 1] = dirty[pos + 1] = True
         if not changed:
             break
     return tuple(order), tie

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pushpull as pp
@@ -27,6 +27,43 @@ def test_render_float_caps_at_twelve_digits():
     text = io.render_float(math.pi)
     digits = text.replace(".", "").replace("-", "").lstrip("0")
     assert len(digits) <= 12
+
+
+def _render_float_from_one_digit(v: float) -> str:
+    """render_float as a loop over every precision from 1 digit up."""
+    if v == 0.0:
+        return "0"
+    for precision in range(1, 13):
+        text = f"{v:.{precision}g}"
+        if float(text) == v:
+            return text
+    return f"{v:.12g}"
+
+
+# A power of two has a narrower gap below it than above, so the shortest
+# round-tripping decimal of it and of its neighbours is the case most apt
+# to differ from the correctly rounded one.
+_POWER_OF_TWO_NEIGHBOURS = [
+    math.nextafter(sign * 2.0**e, toward)
+    for e in (-1074, -1022, -100, -1, 0, 1, 52, 53, 100, 1023)
+    for sign in (1.0, -1.0)
+    for toward in (0.0, sign * math.inf)
+] + [2.0**e for e in (-1074, -1022, -1, 0, 1, 53, 1023)]
+
+
+def _with_examples(values):
+    def decorate(test):
+        for v in values:
+            test = example(v)(test)
+        return test
+    return decorate
+
+
+@_with_examples(_POWER_OF_TWO_NEIGHBOURS)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=500, deadline=None)
+def test_render_float_matches_a_search_from_one_digit(v):
+    assert io.render_float(v) == _render_float_from_one_digit(v)
 
 
 def test_render_float_rejects_non_finite():
@@ -282,6 +319,39 @@ def test_ingest_numbers_plain_rows_from_one():
         io.ingest_relevance_log(rows)
     assert [v for v in err.value.violations if "advocate_score" in v] == [
         "row 3: advocate_score must be a number, got 'oops'"
+    ]
+
+
+def _log_rows(sizes):
+    """Rows of one user per catalog size, named u0, u1, ... in order."""
+    return [
+        {"user_id": f"u{n}", "group_label": "AB"[n % 2], "object_id": f"o{i}", "block_id": f"b{i % 3}",
+         "agent_score": str(i + n), "advocate_score": str((3 * i + n) % 5)}
+        for n, size in enumerate(sizes)
+        for i in range(size)
+    ]
+
+
+def test_ingest_equals_a_build_for_each_user():
+    sizes = (3, 5, 3, 1, 5, 7, 3)
+    users = io.ingest_relevance_log(_log_rows(sizes), discount_kind="cutoff", discount_params={"cutoff": 2})
+    assert [u.user_id for u in users] == [f"u{n}" for n in range(len(sizes))]
+    for user, size in zip(users, sizes):
+        [alone] = io.ingest_relevance_log(
+            [row for row in _log_rows(sizes) if row["user_id"] == user.user_id],
+            discount_kind="cutoff", discount_params={"cutoff": 2},
+        )
+        assert user == alone
+        assert user.instance.size == size
+        assert user.posterior == pp.prior_posterior(user.instance.type_space)
+
+
+def test_ingest_lists_a_custom_weights_error_once_per_user():
+    rows = _log_rows((3, 2, 3, 4, 2))
+    with pytest.raises(pp.ValidationError) as err:
+        io.ingest_relevance_log(rows, discount_kind="custom", discount_params={"weights": [1, 0.5, 0]})
+    assert list(err.value.violations) == [
+        f"user {uid!r}: discount: custom weights must match the horizon" for uid in ("u1", "u3", "u4")
     ]
 
 

@@ -339,6 +339,48 @@ def test_local_search_matches_its_numpy_scalar_form_at_sixty_blocks(integer):
     assert got == _reference_local_search_orders(inst, u, v, LOCAL_SEARCH_LAMBDAS)
 
 
+def test_local_search_matches_its_numpy_scalar_form_at_the_benchmark_shape():
+    # 400 blocks of 5 objects under dcg: most pairs lose by far more than
+    # the tolerance sweep after sweep, so most comparisons are skipped.
+    rng = np.random.default_rng(400)
+    m, k = 2000, 400
+    u, v = rng.random(m), rng.random(m)
+    blocks = tuple(tuple(range(5 * b, 5 * b + 5)) for b in range(k))
+    inst = make_instance(agent=[u], advocate=[v], blocks=blocks, discount=pp.make_discount("dcg", m))
+    lams = (0.0, 0.5, 1.0)
+    assert _shipped_local_search_orders(inst, u, v, lams) == _reference_local_search_orders(inst, u, v, lams)
+
+
+@given(
+    k=st.integers(8, 40),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.05, 0.5),
+    kind=st.sampled_from(("dcg", "geometric")),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_local_search_matches_its_numpy_scalar_form_near_its_tolerance_bound(k, seed, scale, kind, sign):
+    # Scores sign * (1 + step * rank), with step set so that the swaps of the
+    # identity order lose by about the search's bound safe: some by more,
+    # some by less. Negative scores put the largest magnitude at the table's
+    # minimum.
+    d = pp.make_discount("dcg", k) if kind == "dcg" else pp.make_discount("geometric", k, beta=0.9)
+    gaps = -np.diff(d.weights)
+    step = scale * 2.0 * pp.TIE_TOL * k / float(np.median(gaps))
+    rng = np.random.default_rng(seed)
+    u = sign * (1.0 + step * rng.permutation(k))
+    v = sign * (1.0 + step * rng.permutation(k))
+    inst = make_instance(agent=[np.abs(u)], advocate=[np.abs(v)], blocks=[(i,) for i in range(k)], discount=d)
+    for lam in LOCAL_SEARCH_LAMBDAS:
+        scores = combined_scores(lam, u, v)
+        obj = solver._block_contribs(inst.partition, scores, d.weights)
+        safe = 2.0 * solver._tol(k * np.abs(obj).max())
+        deltas = np.diff(scores) * gaps
+        assume((deltas < -safe).any() and ((deltas >= -safe) & (deltas < 0.0)).any())
+    got = _shipped_local_search_orders(inst, u, v, LOCAL_SEARCH_LAMBDAS)
+    assert got == _reference_local_search_orders(inst, u, v, LOCAL_SEARCH_LAMBDAS)
+
+
 def test_brute_force_refuses_large_k():
     m = 9
     part = pp.Partition(tuple((i,) for i in range(m)))
