@@ -78,12 +78,12 @@ _BRUTE_FORCE_CELLS = 1 << 24
 # grid: one row at DP_SUBSET_LIMIT blocks.
 _DP_CELL_BUDGET = 1 << DP_SUBSET_LIMIT
 
-# Cap on subsets * absent blocks * rows in one step of the subset DP.
-_DP_SLICE_CELLS = 1 << 16
-
-# The subset DP splits each subset into its first _DP_LOW_BLOCKS blocks, the
-# low bits, and the rest, the high bits (see _Subsets).
-_DP_LOW_BLOCKS = 10
+# The subset DP splits each subset into its first h blocks, the low bits,
+# and the rest, the high bits (see _Subsets). h is the widest width up to
+# _DP_LOW_MAX whose 2**h subsets hold at most _DP_BLOCK_CELLS cells of a
+# chunk's rows; a step of the pass holds a few times that many.
+_DP_LOW_MAX = 13
+_DP_BLOCK_CELLS = 1 << 15
 
 
 class SolverContractError(RuntimeError):
@@ -222,9 +222,9 @@ class _Plan(NamedTuple):
     Bit c of a plan subset is block first + c of the layout. offsets[S] is
     the summed length of the blocks in S, and levels[L] lists the subsets
     of L blocks in ascending order. steps[L] holds (at, nxt) for all of
-    level L: for the c-th block absent from levels[L][j], at[j, c] is its
-    row off * K + b of the block tables when placed at off =
-    offsets[levels[L][j]], and nxt[j, c] the subset after placing it.
+    level L, candidate-major: for the c-th block absent from levels[L][j],
+    at[c, j] is its row off * K + b of the block tables when placed at
+    off = offsets[levels[L][j]], and nxt[c, j] the subset after placing it.
 
     key is (lengths, K, first). A plan with a limit was asked for the
     subsets whose offset lies below it; when some subset's offset does not,
@@ -243,26 +243,45 @@ class _Plan(NamedTuple):
         return self.limit is not None and self.limit <= self.offsets[-1]
 
 
+class _Run(NamedTuple):
+    """The subsets of one high level that share their high offset off.
+
+    base is off * K, the row of the block tables from which the run's low
+    plan reads. plan is the low plan cut to what off leaves of the horizon;
+    whole picks the subsets of a block that it solves, all of them or those
+    of a cut plan, and scaled holds their low offsets * K. For the j-th high
+    subset blocks[j] of the run and its c-th absent high block, starts[j][c]
+    is that block's row when placed at off, and nxt[j][c] the high subset
+    after placing it. The top level places nothing and has neither.
+    """
+
+    base: int
+    plan: _Plan
+    whole: slice | np.ndarray
+    scaled: np.ndarray
+    blocks: list[int]
+    starts: list[list[int]] | None
+    nxt: list[list[int]] | None
+
+
 class _Subsets(NamedTuple):
     """Subset tables for one tuple of block lengths; block i is bit i.
 
-    The first h = min(K, _DP_LOW_BLOCKS) blocks are the low bits of a
-    subset, the rest its high bits. The subsets that share their high bits
-    H fill one block of 2**h rows of the value table, rows H << h on. A
-    layout of h or fewer blocks is a single block: its high plan has no
-    blocks. Under a horizon both plans carry it as their limit and are cut
-    to it; each block runs the low plan cut to what its high offset leaves.
+    The first h blocks are the low bits of a subset, the rest its high
+    bits. The subsets that share their high bits H fill one block of 2**h
+    rows of the value table, rows H << h on. A layout of h or fewer blocks
+    is a single block: its high plan has no blocks. Under a horizon both
+    plans carry it as their limit and are cut to it.
 
-    k is K and horizon the walk's: P, or M without a cut. Past a single
-    block, groups[L] holds (part, plan) pairs: the blocks of the high
-    subsets high.levels[L][part] run plan, the low plan cut for them.
+    k is K and horizon the walk's: P, or M without a cut. runs[L] holds the
+    runs of high level L.
     """
 
     low: _Plan
     high: _Plan
     k: int
     horizon: int
-    groups: list
+    runs: list[list[_Run]]
 
 
 class _Memo:
@@ -316,8 +335,8 @@ def _nodes(value):
 
 
 # Every layout takes its plans from here. A plan of n blocks holds
-# (2 + n) * 2**n index cells: about 96 kB each for the low and the high
-# plan of a K=20 layout; a plan cut to a horizon holds part of that.
+# (2 + n) * 2**n index cells: about 0.96 MB for a low plan of 13 blocks;
+# a plan cut to a horizon holds part of that.
 _memo = _Memo(8 << 20)
 
 
@@ -340,8 +359,8 @@ def _plan(lengths, k: int, first: int, limit: int | None = None) -> _Plan:
             sel = subsets[(count == level) & below]
             levels.append(sel)
             if level < n:
-                absent = np.nonzero(bits[sel] == 0)[1].reshape(len(sel), n - level)
-                steps.append((offsets[sel, None] * k + first + absent, sel[:, None] | 1 << absent))
+                absent = np.nonzero(bits[sel] == 0)[1].reshape(len(sel), n - level).T.copy()
+                steps.append((offsets[sel] * k + first + absent, sel | 1 << absent))
         return offsets, levels, steps
 
     return _Plan(*_memo.get((*key, limit) if cut else key, build), key, limit)
@@ -356,130 +375,122 @@ def _horizon(weights: np.ndarray) -> int | None:
     return None if weights[-1] > 0 else int(np.count_nonzero(weights))
 
 
-def _subset_tables(lengths, horizon: int | None = None) -> _Subsets:
-    """The subset tables of a layout, for the subsets that fill fewer than
-    horizon positions; None solves them all."""
+def _low_width(lengths, rows: int, horizon: int | None = None) -> int:
+    """h for a layout solved in chunks of rows rows: the widest whose block
+    solves at most _DP_BLOCK_CELLS cells. That is 2**h subsets, or under a
+    horizon P those whose first h blocks fill fewer than P positions."""
+    if horizon is None:
+        fit = (_DP_BLOCK_CELLS // rows).bit_length() - 1
+        return max(0, min(len(lengths), _DP_LOW_MAX, fit))
+    # below[off]: the subsets of the first h blocks that fill off positions.
+    below = np.zeros(horizon, dtype=np.int64)
+    below[0] = 1
+    h = 0
+    for length in lengths[:_DP_LOW_MAX]:
+        if length < horizon:
+            below[length:] += below[: horizon - length].copy()
+        if below.sum() * rows > _DP_BLOCK_CELLS:
+            break
+        h += 1
+    return h
+
+
+def _subset_tables(lengths, rows: int, horizon: int | None = None) -> _Subsets:
+    """The subset tables of a layout for chunks of rows rows, for the subsets
+    that fill fewer than horizon positions; None solves them all.
+
+    Every plan is built here, before a pass allocates its tables: a plan
+    built in a pass sits above them on the heap and keeps their memory from
+    the system (peak RSS of frontier_exact 59 -> 65 MB).
+    """
     k = len(lengths)
-    h = min(k, _DP_LOW_BLOCKS)
+    h = _low_width(lengths, rows, horizon)
     low = _plan(lengths[:h], k, 0, horizon)
     high = _plan(lengths[h:], k, h, horizon)
-    groups = []
-    for sel in high.levels if k > h else ():
-        if horizon is None:
-            groups.append([(slice(None), low)])
-            continue
-        # Built before a pass allocates its tables: a plan built in a pass
-        # sits above them on the heap and keeps their memory from the system
-        # (peak RSS of frontier_exact 59 -> 65 MB). Every limit past the low
-        # blocks' total gets the one uncut plan.
-        limits = np.minimum(horizon - high.offsets[sel], low.offsets[-1] + 1)
-        groups.append([(np.flatnonzero(limits == at), _plan(*low.key, at)) for at in np.unique(limits).tolist()])
-    return _Subsets(low, high, k, sum(lengths) if horizon is None else horizon, groups)
+    scaled = low.offsets * k
+    runs = []
+    for level, sel in enumerate(high.levels):
+        parts: dict[int, list[int]] = {}
+        for j, off in enumerate(high.offsets[sel].tolist()):
+            parts.setdefault(off, []).append(j)
+        level_runs = []
+        for off, part in parts.items():
+            plan = low if horizon is None else _plan(*low.key, horizon - off)
+            whole = np.concatenate(plan.levels) if plan.cut else slice(None)
+            starts = nxt = None
+            if level < len(high.steps):
+                starts, nxt = (index[:, part].T.tolist() for index in high.steps[level])
+            level_runs.append(_Run(off * k, plan, whole, scaled[whole], sel[part].tolist(), starts, nxt))
+        runs.append(level_runs)
+    return _Subsets(low, high, k, sum(lengths) if horizon is None else horizon, runs)
 
 
-def _plan_slices(plan: _Plan, values):
-    """The slices of _dp_slices for a single block: plan's steps, levels
-    from the top, on the memoized arrays themselves."""
-    n = len(plan.levels) - 1
-    rows = values[0].shape[1]
-    for level in range(n - 1, -1, -1):
-        step = max(1, _DP_SLICE_CELLS // ((n - level) * rows))
-        sel, (at, nxt) = plan.levels[level], plan.steps[level]
-        for start in range(0, len(sel), step):
-            stop = start + step
-            yield values, sel[start:stop], at[start:stop], nxt[start:stop], False
+def _dp_steps(tables: _Subsets, *pairs):
+    """The backward pass of the subset DP, one step at a time.
 
+    pairs are (contrib, values): block tables, row off * K + b, with one
+    column per column of values or one that all share, and a (2**K, rows)
+    table indexed by subset. Yields (views, sel, sums, merge): for each
+    values table a view t of one block of 2**h subsets, whose t[sel] takes
+    the best candidate of the step, and for each pair a fresh array of the
+    step's candidates, candidate-major: sums[p][c, j] is values at the
+    subset after placing the c-th candidate block of the j-th subset of
+    sel, plus contrib at that block's row. merge says that the best joins
+    what t[sel] already holds.
 
-def _outer_slices(values, merge, outer, inner):
-    """The slices of _dp_slices for every pair (j, i) of rows of the (sel,
-    at, nxt) triples outer and inner: subset sel_j | sel_i, at_j + at_i and
-    nxt_j | nxt_i, where an at or nxt of one column serves every candidate.
-    A slice takes whole outer rows, or one outer row and part of the inner."""
-    (sel_j, at_j, nxt_j), (sel_i, at_i, nxt_i) = outer, inner
-    if not len(sel_i):
-        return
-    width = max(at_j.shape[1], at_i.shape[1])
-    fit = max(1, _DP_SLICE_CELLS // (width * values[0].shape[1]))
-    group, piece = max(1, fit // len(sel_i)), min(fit, len(sel_i))
-    for j in range(0, len(sel_j), group):
-        sj, aj, nj = (index[j : j + group, None] for index in (sel_j, at_j, nxt_j))
-        for i in range(0, len(sel_i), piece):
-            si, ai, ni = (index[i : i + piece] for index in (sel_i, at_i, nxt_i))
-            sel = (sj | si).ravel()
-            yield values, sel, (aj + ai).reshape(len(sel), width), (nj | ni).reshape(len(sel), width), merge
-
-
-def _dp_slices(tables: _Subsets, *values):
-    """The backward pass of the subset DP, one slice at a time.
-
-    values are (2**K, rows) tables indexed by subset. Yields (views, sel,
-    at, nxt, merge): for each value table a view t, whose t[sel] takes the
-    best candidate of the slice and whose t[nxt[:, c]] is read for the c-th
-    candidate block, whose rows of the block tables are at[:, c].
-
-    High levels run from the top. At each, whole-block steps first fill
-    every block of the level from its absent high blocks: there t views the
-    table as blocks of 2**h rows, or as equal pieces of them, sel lists
-    blocks and nxt[j, c] is the block after placing the c-th. Then the low
-    plan runs inside every block of the level, and merge says that its best
-    joins what the whole-block steps left in t[sel]. The top block and a
-    single block have no whole-block steps and never merge. Every nxt is
-    final before any sel reads it. A slice holds at most _DP_SLICE_CELLS
-    candidate cells, or one subset.
+    High levels run from the top, one block at a time. A block below the
+    top level first takes its whole-block step, which places its absent
+    high blocks: sel is the whole block, the gather of contrib for the
+    c-th reads from row starts[j][c] at the low offsets * K, and the blocks
+    of a run share those gathers. Then the block runs its low plan, levels
+    from the top, on the plan's own at and nxt: they index t and contrib
+    from the run's base on, and the best merges with what the whole-block
+    step left. The top block and a single block place no high block and
+    never merge. Every values row a step reads is final before it.
 
     Under a horizon P only the subsets that fill fewer than P positions are
     solved: the high plan holds only the blocks whose high offset is below
     P, each block runs the low plan cut to what its offset leaves of P, and
-    a block whose low plan is cut takes its whole-block steps on the
-    subsets of that plan alone, with t = the table. Every other subset
-    keeps the 0.0 that the tables start from, which is its value: every
-    weight it could still reach is 0.
+    a cut block's whole-block step solves the subsets of that plan alone.
+    Every other subset keeps the 0.0 that the tables start from, which is
+    its value: every weight it could still reach is 0.
     """
-    low, high = tables.low, tables.high
-    h, top = len(low.levels) - 1, len(high.levels) - 1
-    rows = values[0].shape[1]
-    if not top:
-        yield from _plan_slices(low, values)
-        return
-    k = tables.k
-    scaled = low.offsets * k
+    h = len(tables.low.levels) - 1
+    top = len(tables.high.levels) - 1
+    blocks = [values.reshape(-1, 1 << h, values.shape[1]) for _, values in pairs]
     for level in range(top, -1, -1):
         merge = level < top
-        for part, plan in tables.groups[level]:
-            hs = high.levels[level][part]
+        for run in tables.runs[level]:
+            views = [[t[block] for t in blocks] for block in run.blocks]
             if merge:
-                at_high, nxt_high = (index[part] for index in high.steps[level])
-                if plan.cut:
-                    below = np.concatenate(plan.levels)
-                    whole = (hs << h, at_high, nxt_high << h)
-                    yield from _outer_slices(values, False, whole, (below, scaled[below, None], below[:, None]))
-                else:
-                    # A block that overflows a slice goes in 2**cut equal pieces.
-                    fit = max(1, _DP_SLICE_CELLS // ((top - level) * rows))
-                    cut = max(0, h + 1 - fit.bit_length())
-                    pieces = [v.reshape(-1, 1 << (h - cut), rows) for v in values]
-                    step = max(1, fit >> h)
-                    for start in range(0, len(hs), step):
-                        sel, nxt = (index[start : start + step] << cut for index in (hs, nxt_high))
-                        col = at_high[start : start + step, :, None]
-                        for piece, at in enumerate(np.split(col + scaled, 1 << cut, axis=2)):
-                            yield pieces, sel + piece, at, nxt + piece, False
-            first = hs << h
-            blocks = (first, high.offsets[hs, None] * k, first[:, None])
-            for sel, step in zip(plan.levels[h - 1 :: -1], plan.steps[::-1]):
-                yield from _outer_slices(values, merge, blocks, (sel, *step))
+                whole = run.whole
+                gathers = {}
+                for j, (starts, nxt) in enumerate(zip(run.starts, run.nxt)):
+                    sums = []
+                    for p, ((contrib, _), t) in enumerate(zip(pairs, blocks)):
+                        cand = np.empty((len(nxt), len(run.scaled), t.shape[2]))
+                        for c, (start, block) in enumerate(zip(starts, nxt)):
+                            gathered = gathers.get((p, start))
+                            if gathered is None:
+                                gathered = gathers[p, start] = contrib[start:].take(run.scaled, axis=0)
+                            np.add(t[block, whole], gathered, out=cand[c])
+                        sums.append(cand)
+                    yield views[j], whole, sums, False
+                del gathers
+            for sel, (at, nxt) in zip(run.plan.levels[h - 1 :: -1], run.plan.steps[::-1]):
+                if not len(sel):
+                    continue
+                gathered = [contrib[run.base :].take(at, axis=0) for contrib, _ in pairs]
+                for block_views in views:
+                    sums = [view.take(nxt, axis=0) for view in block_views]
+                    for cand, add in zip(sums, gathered):
+                        cand += add
+                    yield block_views, sel, sums, merge
 
 
 def _best(cand: np.ndarray) -> np.ndarray:
-    """cand.max(axis=1). Past a few dozen cells a column, one np.maximum per
-    candidate column: a reduction over that short middle axis runs many
-    times slower."""
-    if cand.size < 64 * cand.shape[1]:
-        return cand.max(axis=1)
-    best = cand[:, 0].copy()
-    for column in range(1, cand.shape[1]):
-        np.maximum(best, cand[:, column], out=best)
-    return best
+    """The best of candidate-major cand: its max over the candidates, axis 0."""
+    return np.maximum.reduce(cand, axis=0)
 
 
 def _dp_value_to_go(contrib: np.ndarray, tables: _Subsets) -> np.ndarray:
@@ -493,9 +504,7 @@ def _dp_value_to_go(contrib: np.ndarray, tables: _Subsets) -> np.ndarray:
     a set of absent blocks at once; max is exact, so their order is moot.
     """
     go = np.zeros((1 << tables.k, contrib.shape[1]))
-    for (table,), sel, at, nxt, merge in _dp_slices(tables, go):
-        cand = np.take(contrib, at, axis=0)
-        cand += np.take(table, nxt, axis=0)
+    for (table,), sel, (cand,), merge in _dp_steps(tables, (contrib, go)):
         best = _best(cand)
         if merge:
             np.maximum(best, table[sel], out=best)
@@ -513,13 +522,9 @@ def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     participate; everything else is excluded with -inf.
     """
     gu = np.zeros(go.shape)
-    for (value, agent), sel, at, nxt, merge in _dp_slices(tables, go, gu):
-        obj = np.take(contrib_obj, at, axis=0)
-        obj += np.take(value, nxt, axis=0)
-        obj -= value[sel][:, None]
+    for (value, agent), sel, (obj, cand), merge in _dp_steps(tables, (contrib_obj, go), (contrib_agent, gu)):
+        obj -= value[sel]
         ok = np.abs(obj, out=obj) <= tol
-        cand = np.take(agent, nxt, axis=0)
-        cand += np.take(contrib_agent, at, axis=0)
         cand[~ok] = -np.inf
         best = _best(cand)
         if merge:
@@ -528,16 +533,19 @@ def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     return gu
 
 
-def _dp_walk(obj, agent, go, walk, gu=None):
+def _dp_walk(obj, agent, go, walk, order, gu=None):
     """Greedy reconstruction of one DP row along tied-optimal branches.
 
     obj and agent are the row's objective and agent block tables as lists,
     entry off * K + b, and go and gu its value and agent tables. walk is
     (low, high, h, K, P): lists whose low[S & (2**h - 1)] + high[S >> h] is
     the summed length of the blocks in S, and the horizon P, from which on
-    the remaining blocks follow in ascending order. Without gu the walk
-    returns None at its first tie before P, so a row without one never
-    needs the agent pass.
+    the remaining blocks follow in ascending order. order is the block
+    order walked so far; the walk extends it in place and returns the tie
+    flag. Without gu the walk returns None at its first tie before P, so a
+    row without one never needs the agent pass. order then holds the
+    choices before that tie, which a walk with gu makes too, so that walk
+    resumes from it.
     """
     low, high, h, k, horizon = walk
     full = (1 << k) - 1
@@ -546,14 +554,14 @@ def _dp_walk(obj, agent, go, walk, gu=None):
     value = go.item
     if gu is not None:
         agent_value = gu.item
-    state = 0
-    order: list[int] = []
+    state = sum(1 << b for b in order)
     tie = False
     while state != full:
         off = low[state & mask] + high[state >> h]
         if off >= horizon:
             rest = [i for i in range(k) if not (state >> i) & 1]
-            return (*order, *rest), tie or len(rest) > 1
+            order += rest
+            return tie or len(rest) > 1
         base = off * k
         target = value(state)
         cands = [
@@ -573,7 +581,7 @@ def _dp_walk(obj, agent, go, walk, gu=None):
         choice = cands[0]
         order.append(choice)
         state |= 1 << choice
-    return tuple(order), tie
+    return tie
 
 
 def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
@@ -581,7 +589,7 @@ def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
 
     contrib_agent is the agent table that every row shares, as one column,
     or one column per row. Rows whose walk meets a tie share one agent
-    pass, then walk again.
+    pass, then resume their walk from that tie.
     """
     go = _dp_value_to_go(contrib_obj, tables)
     low, high = tables.low, tables.high
@@ -591,8 +599,9 @@ def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
     # above its tables more often and raised the peak RSS of frontier_exact.
     read = tables.horizon * tables.k
     rows = range(contrib_obj.shape[1])
-    orders = [_dp_walk(contrib_obj[:read, r].tolist(), None, go[:, r], walk) for r in rows]
-    tied = [r for r in rows if orders[r] is None]
+    orders = [[] for _ in rows]
+    ties = [_dp_walk(contrib_obj[:read, r].tolist(), None, go[:, r], walk, orders[r]) for r in rows]
+    tied = [r for r in rows if ties[r] is None]
     if tied:
         # When every row tied, the agent pass reads go itself, not a copy.
         tied_go = go if len(tied) == len(rows) else go.take(tied, axis=1)
@@ -603,8 +612,8 @@ def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
         agent_lists = agents[:read].T.tolist()
         for j, r in enumerate(tied):
             obj = contrib_obj[:read, r].tolist()
-            orders[r] = _dp_walk(obj, agent_lists[0 if shared else j], go[:, r], walk, gu[:, j])
-    return orders
+            ties[r] = _dp_walk(obj, agent_lists[0 if shared else j], go[:, r], walk, orders[r], gu[:, j])
+    return [(tuple(order), tie) for order, tie in zip(orders, ties)]
 
 
 def _block_keys(partition: Partition, scores) -> tuple[tuple[float, ...], ...]:
@@ -844,15 +853,15 @@ def _local_search_orders(instance, beliefs):
     out = []
     for u_bar, v_bar, lams in beliefs:
         contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
-        out += [
-            _order_local_search(
-                partition,
-                lam * contrib_u + (1.0 - lam) * contrib_v,
-                contrib_u,
-                _block_keys(partition, combined_scores(lam, u_bar, v_bar)),
-            )
-            for lam in lams
-        ]
+        # Each lambda's table lam * contrib_u + (1 - lam) * contrib_v is
+        # written into the same two buffers; the search keeps no reference.
+        combined, advocate = np.empty_like(contrib_u), np.empty_like(contrib_v)
+        for lam in lams:
+            np.multiply(lam, contrib_u, out=combined)
+            np.multiply(1.0 - lam, contrib_v, out=advocate)
+            combined += advocate
+            keys = _block_keys(partition, combined_scores(lam, u_bar, v_bar))
+            out.append(_order_local_search(partition, combined, contrib_u, keys))
     return out
 
 
@@ -867,8 +876,9 @@ def _brute_force_orders(instance, beliefs):
 
 
 def _subset_dp_orders(instance, beliefs):
-    # The rows of every belief share one set of subset tables and go through
-    # the DP in chunks that keep rows * subsets within _DP_CELL_BUDGET. Each
+    # The rows of every belief go through the DP in chunks that keep rows *
+    # subsets within _DP_CELL_BUDGET; the chunks of one size share one set
+    # of subset tables, and every set is built before the first pass. Each
     # belief's block values are computed once; a chunk whose rows all hold
     # one belief shares its agent table, which broadcasts. A belief's rows
     # are consecutive, so a chunk's first and last row tell.
@@ -878,10 +888,12 @@ def _subset_dp_orders(instance, beliefs):
         contribs.append(_contribs(instance, u_bar, v_bar))
         lams += belief_lams
         which += [b] * len(belief_lams)
-    tables = _subset_tables(partition.block_lengths(), _horizon(instance.discount.weights))
     chunk = max(1, _DP_CELL_BUDGET >> partition.block_count)
+    starts = range(0, len(lams), chunk)
+    lengths, horizon = partition.block_lengths(), _horizon(instance.discount.weights)
+    tables = {n: _subset_tables(lengths, n, horizon) for n in {min(chunk, len(lams) - s) for s in starts}}
     out = []
-    for start in range(0, len(lams), chunk):
+    for start in starts:
         rows = np.array(lams[start : start + chunk])
         held = which[start : start + chunk]
         if held[0] == held[-1]:
@@ -889,7 +901,7 @@ def _subset_dp_orders(instance, beliefs):
         else:
             contrib_u, contrib_v = (np.column_stack(side) for side in zip(*(contribs[b] for b in held)))
         contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
-        out.extend(_dp_orders(tables, contrib_obj, contrib_u))
+        out.extend(_dp_orders(tables[len(rows)], contrib_obj, contrib_u))
     return out
 
 

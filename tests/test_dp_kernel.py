@@ -2,11 +2,13 @@
 
 The reference below is that recursion as it stood: one step per (level,
 block), each filtering the level's subsets that lack the block. The kernel
-under test splits each subset into low and high bits. It places the absent
-high blocks of a whole block of subsets at once, then runs the low blocks'
-plan inside it one slice at a time, so its value and agent tables must
-equal the reference bit for bit. The plans come from a memo shared across
-calls, so the tables are checked on a cold memo and again on a warm one.
+under test splits each subset into low and high bits, with a low width h
+that depends on the rows of a chunk. One high block at a time, it places
+the absent high blocks of the whole block at once, then runs the low
+blocks' plan inside it, so its value and agent tables must equal the
+reference bit for bit at every width. The plans come from a memo shared
+across calls, so the tables are checked on a cold memo and again on a
+warm one.
 Under a discount horizon P the kernel solves only the subsets that fill
 fewer than P positions; every other subset must hold the +0.0 that the
 reference computes there.
@@ -109,11 +111,11 @@ def _kernel_tables(contrib_obj, contrib_u, tables, tol):
 
 
 @st.composite
-def instances(draw, max_blocks):
+def instances(draw, max_blocks, kinds=("random", "tie_heavy", "cutoff")):
     """Random, tie-heavy integer or cutoff instances with up to max_blocks blocks."""
     k = draw(st.integers(1, max_blocks), label="blocks")
     m = draw(st.integers(k, k + 4), label="objects")
-    kind = draw(st.sampled_from(("random", "tie_heavy", "cutoff")), label="kind")
+    kind = draw(st.sampled_from(kinds), label="kind")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if kind == "tie_heavy":
         u, v = rng.integers(0, 3, m).astype(float), rng.integers(0, 3, m).astype(float)
@@ -141,7 +143,7 @@ def _check_tables(inst, lams):
 
     want_go = _reference_value_to_go(contrib_obj, offsets, levels)
     tol = np.array([solver._tol(value) for value in want_go[:, 0]])
-    tables = solver._subset_tables(lengths)
+    tables = solver._subset_tables(lengths, len(lams))
     go, gu = _kernel_tables(contrib_obj, contrib_u, tables, tol)
     assert _bits(go.T) == _bits(want_go)
     for r in range(len(lams)):
@@ -152,9 +154,23 @@ def _check_tables(inst, lams):
     return tables
 
 
-def _low_key(lengths):
-    """The memo key of the low plan of a layout: its first h lengths and K."""
-    return tuple(lengths[: solver._DP_LOW_BLOCKS]), len(lengths), 0
+def _low_key(lengths, rows):
+    """The memo key of the low plan of a layout solved in chunks of rows
+    rows: its first h lengths and K."""
+    return tuple(lengths[: solver._low_width(lengths, rows)]), len(lengths), 0
+
+
+def _width(lengths, rows, horizon=None):
+    """The widest h up to _DP_LOW_MAX whose 2**h subsets, or those of them
+    that fill fewer than horizon positions, times rows fit _DP_BLOCK_CELLS."""
+    h = 0
+    for n in range(1, min(len(lengths), solver._DP_LOW_MAX) + 1):
+        offsets = _reference_offsets(lengths[:n])
+        solved = offsets.size if horizon is None else np.count_nonzero(offsets < horizon)
+        if solved * rows > solver._DP_BLOCK_CELLS:
+            break
+        h = n
+    return h
 
 
 def _plan_arrays(*plans):
@@ -193,19 +209,20 @@ def test_block_contribs_are_the_transpose_of_the_block_major_build(layout):
 
 def test_every_plan_matches_the_reference_subsets_offsets_and_steps():
     # Every block count a plan can have, both first blocks, every limit
-    # that cuts the plan, one that does not, and none; n = 0 is the high
-    # plan of a layout of h or fewer blocks.
+    # that cuts the plan up to 10 blocks and a few past them, one that does
+    # not, and none; n = 0 is the high plan of a layout of h or fewer blocks.
     rng = np.random.default_rng(12)
-    h = solver._DP_LOW_BLOCKS
+    h = solver._DP_LOW_MAX
     k = 2 * h
     solver._memo.clear()
     for n in range(h + 1):
         lengths = rng.integers(1, 4, n).tolist()
         total = sum(lengths)
         offsets, levels = _reference_offsets(lengths), _reference_levels(n)
+        limits = range(1, total + 2) if n <= 10 else (1, 2, total // 2, total, total + 1)
         for first in (0, h):
             uncut = solver._plan(lengths, k, first)
-            for limit in (*range(1, total + 2), None):
+            for limit in (*limits, None):
                 plan = solver._plan(lengths, k, first, limit)
                 assert plan.cut == (limit is not None and limit <= total)
                 assert (plan.levels is uncut.levels) == (not plan.cut)
@@ -214,44 +231,51 @@ def test_every_plan_matches_the_reference_subsets_offsets_and_steps():
                 assert [sel.tolist() for sel in plan.levels] == [sel.tolist() for sel in kept]
                 assert len(plan.steps) == n
                 for level, (sel, (at, nxt)) in enumerate(zip(kept, plan.steps)):
-                    assert at.shape == nxt.shape == (len(sel), n - level)
+                    # Candidate-major: row c holds the c-th absent block of every subset.
+                    assert at.shape == nxt.shape == (n - level, len(sel))
                     absent = [[c for c in range(n) if not s >> c & 1] for s in sel.tolist()]
-                    assert at.tolist() == [
+                    assert at.T.tolist() == [
                         [offsets[s] * k + first + c for c in cs] for s, cs in zip(sel.tolist(), absent)
                     ]
-                    assert nxt.tolist() == [[s | 1 << c for c in cs] for s, cs in zip(sel.tolist(), absent)]
+                    assert nxt.T.tolist() == [[s | 1 << c for c in cs] for s, cs in zip(sel.tolist(), absent)]
                 if first == 0:
-                    high = solver._subset_tables(lengths, limit).high
+                    high = solver._subset_tables(lengths, 1, limit).high
                     assert high.offsets.tolist() == [0]
                     assert [sel.tolist() for sel in high.levels] == [[0]] and high.steps == []
+
+
+BLOCK_CELLS = st.sampled_from((1, 7, 64, 512, 4096, solver._DP_BLOCK_CELLS))
+LOW_MAX = st.sampled_from((1, 2, 3, solver._DP_LOW_MAX))
 
 
 @given(
     instances(max_blocks=10),
     st.lists(LAMBDAS, min_size=1, max_size=3),
     st.lists(LAMBDAS, min_size=4, max_size=40),
-    st.sampled_from((1, 7, 64, 512, 4096, solver._DP_SLICE_CELLS)),
-    st.sampled_from((1, 2, 3, solver._DP_LOW_BLOCKS)),
+    BLOCK_CELLS,
+    LOW_MAX,
 )
 @settings(max_examples=200, deadline=None)
-def test_value_and_agent_tables_match_the_per_block_recursion(inst, cold, warm, slice_cells, low):
-    # Each layout is solved cold, then warm with more rows, which slices a
-    # memoized plan with a smaller step than the cold solve that built it.
-    # A low width below K splits the layout into blocks over several high
-    # levels.
+def test_value_and_agent_tables_match_the_per_block_recursion(inst, cold, warm, block_cells, low):
+    # Each layout is solved cold, then warm with more rows. A width cap of
+    # 1, 2 or 3 and a block of few cells split the layout into blocks over
+    # several high levels; 1 cell leaves h = 0, one subset per block. Where
+    # both solves take one width, the warm one reuses the memoized plans.
     lengths = inst.partition.block_lengths()
-    with mock.patch.object(solver, "_DP_SLICE_CELLS", slice_cells), mock.patch.object(
-        solver, "_DP_LOW_BLOCKS", low
+    with mock.patch.object(solver, "_DP_BLOCK_CELLS", block_cells), mock.patch.object(
+        solver, "_DP_LOW_MAX", low
     ):
         solver._memo.clear()
         built = _check_tables(inst, cold)
-        assert _low_key(lengths) in solver._memo.entries
+        assert _low_key(lengths, len(cold)) in solver._memo.entries
         reused = _check_tables(inst, warm)
-    assert len(built.low.levels) - 1 == min(low, len(lengths))
-    assert all(
-        a is b
-        for a, b in zip(_plan_arrays(reused.low, reused.high), _plan_arrays(built.low, built.high), strict=True)
-    )
+        widths = [_width(lengths, len(lams)) for lams in (cold, warm)]
+    assert [len(tables.low.levels) - 1 for tables in (built, reused)] == widths
+    if widths[0] == widths[1]:
+        assert all(
+            a is b
+            for a, b in zip(_plan_arrays(reused.low, reused.high), _plan_arrays(built.low, built.high), strict=True)
+        )
 
 
 def _layout_instance(lengths, seed, discount="cutoff"):
@@ -266,18 +290,58 @@ def _layout_instance(lengths, seed, discount="cutoff"):
 
 
 def test_sixteen_blocks_match_the_per_block_recursion_in_both_passes():
+    # Four rows take the largest width.
     lengths = [1 + i % 3 for i in range(16)]
     for discount in ("cutoff", "dcg"):
         tables = _check_tables(_layout_instance(lengths, 16, discount), [0.0, 0.3, 0.5, 1.0])
-        assert len(tables.low.levels) - 1 == solver._DP_LOW_BLOCKS
+        assert len(tables.low.levels) - 1 == solver._DP_LOW_MAX
+
+
+@pytest.mark.parametrize("discount", ["cutoff", "dcg"])
+def test_chunks_of_one_three_and_thirty_two_rows_give_the_same_tables(discount):
+    # Each chunk size takes its own width (13, 13 and 10 blocks for dcg),
+    # and every chunk's columns equal those of the one-row chunks bit for bit.
+    lengths = [1 + i % 3 for i in range(16)]
+    inst = _layout_instance(lengths, 21, discount)
+    lams = np.linspace(0.0, 1.0, 32).tolist()
+    contrib_u, contrib_obj = _block_tables(inst, lams)
+    horizon = solver._horizon(inst.discount.weights)
+    assert (horizon is None) == (discount == "dcg")
+    offsets = _reference_offsets(lengths)
+    want_go = _reference_value_to_go(contrib_obj, offsets, _reference_levels(len(lengths)))
+    tol = np.array([solver._tol(value) for value in want_go[:, 0]])
+    widths, tables = [], {}
+    for rows in (1, 3, 32):
+        parts = []
+        for start in range(0, len(lams), rows):
+            chunk = slice(start, start + rows)
+            sub = solver._subset_tables(lengths, len(lams[chunk]), horizon)
+            parts.append(_kernel_tables(contrib_obj[chunk], contrib_u, sub, tol[chunk]))
+            if start == 0:
+                widths.append(len(sub.low.levels) - 1)
+        tables[rows] = [np.hstack(side) for side in zip(*parts)]
+    assert widths == [_width(lengths, rows, horizon) for rows in (1, 3, 32)]
+    assert len(set(widths)) > 1
+    for rows in (3, 32):
+        assert [_bits(side) for side in tables[rows]] == [_bits(side) for side in tables[1]]
+    go, gu = tables[1]
+    if horizon is None:
+        assert _bits(go.T) == _bits(want_go)
+    else:
+        # Under the horizon the kernel agrees with the full recursion on the
+        # subsets it solves and holds +0.0 on the rest.
+        solved = offsets < horizon
+        assert _bits(go[solved].T) == _bits(want_go[:, solved])
+        assert not go[~solved].any() and not np.signbit(go[~solved]).any()
 
 
 def test_a_layout_past_the_low_width_reuses_the_plan_of_its_first_blocks():
+    # Up to four rows, both layouts take the largest width.
     solver._memo.clear()
-    h = solver._DP_LOW_BLOCKS
+    h = solver._DP_LOW_MAX
     head = [1 + i % 3 for i in range(h)]
-    first = _check_tables(_layout_instance(head + [2, 1, 3, 1], 1), [0.0, 0.5, 1.0])
-    again = _check_tables(_layout_instance(head + [1, 3, 1, 2], 2), [0.25] * 9)
+    first = _check_tables(_layout_instance(head + [2, 1, 3], 1), [0.0, 0.5, 1.0])
+    again = _check_tables(_layout_instance(head + [1, 3, 2], 2), [0.25] * 4)
     assert all(a is b for a, b in zip(_plan_arrays(again.low), _plan_arrays(first.low), strict=True))
     assert again.high.steps is not first.high.steps
     # Nothing in the memo is wider than h blocks.
@@ -288,7 +352,7 @@ def test_a_layout_past_the_low_width_reuses_the_plan_of_its_first_blocks():
 
 def test_memoized_arrays_are_read_only():
     for lengths in ((2, 1, 3), tuple(1 + i % 4 for i in range(14))):
-        tables = solver._subset_tables(lengths)
+        tables = solver._subset_tables(lengths, 1)
         for array in _plan_arrays(tables.low, tables.high):
             with pytest.raises(ValueError):
                 array[...] = 0
@@ -318,10 +382,10 @@ def test_memo_stays_within_its_byte_bound_and_evicts_least_recently_used():
     held = sum(_held_bytes(value) for value, _ in solver._memo.entries.values())
     assert held == solver._memo.nbytes
     assert held <= solver._memo.limit <= 8 << 20
-    # Eviction ran, oldest first: the plans of ten or more blocks alone
-    # exceed the bound.
-    assert _low_key(layouts[0]) not in solver._memo.entries
-    assert _low_key(layouts[-1]) in solver._memo.entries
+    # Eviction ran, oldest first: the plans of thirteen blocks alone exceed
+    # the bound.
+    assert _low_key(layouts[0], 1) not in solver._memo.entries
+    assert _low_key(layouts[-1], 1) in solver._memo.entries
 
     # A hit makes an entry the most recently used.
     table = np.zeros(100)
@@ -382,6 +446,28 @@ def test_metrics_at_the_block_limit_hold_one_row_of_value_to_go(monkeypatch):
     pp.agency_metrics(pp.generate(spec), 0.5, strategy="subset_dp")
     assert len(cells) == 3
     assert max(cells) <= 1 << pp.DP_SUBSET_LIMIT
+
+
+@given(instances(max_blocks=9, kinds=("tie_heavy", "cutoff")), st.lists(LAMBDAS, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_a_tied_row_resumes_its_walk_where_the_first_walk_stopped(inst, lams):
+    # The orders and tie flags equal those of walking every row again from
+    # the empty set with its agent table.
+    contrib_u, contrib_obj = _block_tables(inst, lams)
+    obj, agent = _position_major(contrib_obj), contrib_u.T.reshape(-1, 1)
+    lengths = inst.partition.block_lengths()
+    tables = solver._subset_tables(lengths, len(lams), solver._horizon(inst.discount.weights))
+    got = solver._dp_orders(tables, obj, agent)
+
+    go = solver._dp_value_to_go(obj, tables)
+    tol = np.array([solver._tol(value) for value in go[0]])
+    gu = solver._dp_agent_to_go(obj, agent, go, tables, tol)
+    low, high = tables.low, tables.high
+    walk = low.offsets.tolist(), high.offsets.tolist(), len(low.levels) - 1, tables.k, tables.horizon
+    for r in range(len(lams)):
+        order = []
+        tie = solver._dp_walk(obj[:, r].tolist(), agent[:, 0].tolist(), go[:, r], walk, order, gu[:, r])
+        assert got[r] == (tuple(order), tie), r
 
 
 def test_cutoff_frontier_runs_the_agent_pass_once_per_chunk(monkeypatch):
@@ -459,23 +545,20 @@ def horizon_instances(draw, max_blocks):
     return make_instance(agent=[u], advocate=[v], blocks=part.blocks, weights=weights)
 
 
-SLICE_CELLS = st.sampled_from((1, 7, 64, 512, 4096, solver._DP_SLICE_CELLS))
-
-
 @given(
-    SLICE_CELLS.flatmap(
-        # Budgets below 512 cells take one Python step per subset or two,
-        # so they are drawn with at most 12 blocks.
+    BLOCK_CELLS.flatmap(
+        # Blocks below 512 cells hold a subset or two, one Python step
+        # each, so they are drawn with at most 12 blocks.
         lambda cells: st.tuples(st.just(cells), horizon_instances(16 if cells >= 512 else 12))
     ),
     st.lists(LAMBDAS, min_size=1, max_size=40),
-    st.sampled_from((1, 2, 3, solver._DP_LOW_BLOCKS)),
+    LOW_MAX,
 )
 @settings(max_examples=60, deadline=None)
 def test_tables_under_a_horizon_match_the_recursion_on_every_subset(case, lams, low):
     # The kernel solves only the subsets that fill fewer than P positions;
     # every other subset must hold the +0.0 that the full recursion gives it.
-    slice_cells, inst = case
+    block_cells, inst = case
     weights = inst.discount.weights
     contrib_u, contrib_obj = _block_tables(inst, lams)
     lengths = inst.partition.block_lengths()
@@ -484,10 +567,12 @@ def test_tables_under_a_horizon_match_the_recursion_on_every_subset(case, lams, 
     tol = np.array([solver._tol(value) for value in want_go[:, 0]])
     horizon = solver._horizon(weights)
     assert (horizon is None) == (weights[-1] > 0)
-    with mock.patch.object(solver, "_DP_SLICE_CELLS", slice_cells), mock.patch.object(
-        solver, "_DP_LOW_BLOCKS", low
+    with mock.patch.object(solver, "_DP_BLOCK_CELLS", block_cells), mock.patch.object(
+        solver, "_DP_LOW_MAX", low
     ):
-        go, gu = _kernel_tables(contrib_obj, contrib_u, solver._subset_tables(lengths, horizon), tol)
+        tables = solver._subset_tables(lengths, len(lams), horizon)
+        assert len(tables.low.levels) - 1 == _width(lengths, len(lams), horizon)
+        go, gu = _kernel_tables(contrib_obj, contrib_u, tables, tol)
     assert _bits(go.T) == _bits(want_go)
     for r in range(len(lams)):
         want_gu = _reference_agent_to_go(contrib_obj[r], contrib_u, want_go[r], offsets, levels, tol[r])
