@@ -74,6 +74,10 @@ BRUTE_FORCE_LIMIT = 8
 # scores through it.
 _BRUTE_FORCE_CELLS = 1 << 24
 
+# Cap on the (M + 1) * K cells of each of local search's four block tables
+# (agent, advocate, objective and a buffer): 128 MB apiece at the cap.
+_LOCAL_SEARCH_CELLS = 1 << 24
+
 # Cap on rows * subsets of value-to-go held at once when solving a lambda
 # grid: one row at DP_SUBSET_LIMIT blocks.
 _DP_CELL_BUDGET = 1 << DP_SUBSET_LIMIT
@@ -621,9 +625,11 @@ def _block_keys(partition: Partition, scores) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(s[j]) for j in block) for block in partition.blocks)
 
 
-def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_keys):
-    """Adjacent-transposition hill climb over block orders.
+def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_keys, start):
+    """Adjacent-transposition hill climb over block orders, from start.
 
+    The climb starts from the identity order instead when that order's
+    objective is strictly higher, so it never ends below the identity order.
     Accepts a swap when it improves the objective beyond tolerance, or when
     it is objective-neutral (delta in [0, tol]) and improves the tie-break
     key: agent value, then descending block score sequence, then smaller
@@ -643,14 +649,20 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
     # bases[pos] is the base of the block at pos.
     steps = [length * k for length in partition.block_lengths()]
     obj, agent = memoryview(contrib_obj), memoryview(contrib_agent)
-    order = list(range(k))
-    bases = [0] * k
-    cur = 0.0
-    base = 0
-    for pos, b in enumerate(order):
-        bases[pos] = base
-        cur += obj[base + b]
-        base += steps[b]
+
+    def placed(order):
+        # The bases of an order and its objective, summed by position.
+        bases, cur, base = [], 0.0, 0
+        for b in order:
+            bases.append(base)
+            cur += obj[base + b]
+            base += steps[b]
+        return list(order), bases, cur
+
+    order, bases, cur = placed(start)
+    identity = placed(range(k))
+    if identity[2] > cur:
+        order, bases, cur = identity
     tie = False
     # No order's objective exceeds K * max|obj| in magnitude, so no _tol(cur)
     # the search meets reaches safe: a delta above safe always swaps, one
@@ -850,9 +862,22 @@ def _contribs(instance, u_bar, v_bar):
 
 def _local_search_orders(instance, beliefs):
     partition = instance.partition
+    k = partition.block_count
+    cells = (partition.size + 1) * k
+    if cells > _LOCAL_SEARCH_CELLS:
+        raise ValidationError(
+            f"local_search: block-table cells (M + 1) x K ({cells}) exceed the limit {_LOCAL_SEARCH_CELLS}"
+        )
+    # Each climb starts from the head-weight ratio order: a block's value at
+    # offset 0 over the weight its run covers there, at least w[0] = 1. That
+    # is the score of a singleton and 1 - beta times Smith's index under a
+    # geometric curve, so the start is exact in both cases. The index is
+    # affine in lambda, like the index rules'.
+    heads = np.cumsum(instance.discount.weights)[np.array(partition.block_lengths()) - 1]
     out = []
     for u_bar, v_bar, lams in beliefs:
         contrib_u, contrib_v = _contribs(instance, u_bar, v_bar)
+        r_u, r_v = contrib_u[:k] / heads, contrib_v[:k] / heads
         # Each lambda's table lam * contrib_u + (1 - lam) * contrib_v is
         # written into the same two buffers; the search keeps no reference.
         combined, advocate = np.empty_like(contrib_u), np.empty_like(contrib_v)
@@ -861,7 +886,9 @@ def _local_search_orders(instance, beliefs):
             np.multiply(1.0 - lam, contrib_v, out=advocate)
             combined += advocate
             keys = _block_keys(partition, combined_scores(lam, u_bar, v_bar))
-            out.append(_order_local_search(partition, combined, contrib_u, keys))
+            # Descending index; a stable sort keeps tied blocks by index.
+            start = np.argsort(-(lam * r_u + (1.0 - lam) * r_v), kind="stable").tolist()
+            out.append(_order_local_search(partition, combined, contrib_u, keys, start))
     return out
 
 

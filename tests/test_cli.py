@@ -487,6 +487,17 @@ def test_grid_is_bounded_before_it_is_built(runner, e1_path, monkeypatch, comman
     assert "grid: points x objects (300000000000) exceed the limit" in out.stderr
 
 
+def test_local_search_tables_are_bounded_before_they_are_built(runner, tmp_path, monkeypatch):
+    # 24 blocks over 30 objects hold (30 + 1) x 24 = 744 cells a table.
+    path = tmp_path / "wide.json"
+    gen = ["gen", "--kind", "random", "--seed", "9", "-M", "30", "-K", "24", "-T", "2", "--out", str(path)]
+    assert runner.invoke(main, gen).exit_code == 0
+    monkeypatch.setattr(solver, "_LOCAL_SEARCH_CELLS", 743)
+    out = runner.invoke(main, ["solve", str(path), "--lambda", "0.5"])
+    assert out.exit_code == 2, out.output
+    assert "local_search: block-table cells (M + 1) x K (744) exceed the limit 743" in out.stderr
+
+
 # The flags each discount curve takes; any other discount flag is stray.
 _OWN_FLAGS = {"dcg": [], "cutoff": ["--cutoff", "2"], "geometric": ["--beta", "0.3"], "custom": ["--weights", "1,0.5,0"]}
 _STRAY = [

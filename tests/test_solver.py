@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,11 +142,14 @@ def test_geometric_index_rejects_bad_beta():
         _solve([1, 2], d, strategy="geometric_index")
 
 
-# Local search starts from the identity block order, so listing the blocks
-# in a seed order starts it from that order.
+# Local search never ends below the objective of the identity block order,
+# the order the blocks are listed in, whatever order its climb starts from.
+# Listing the blocks in a seed order therefore makes that order its floor.
 
 
 def test_local_search_fixed_point_at_canonical_optimum():
+    # The optimum listed as the identity order is the floor, and no swap
+    # from it gains: the climb ends on it.
     part = pp.Partition(((0,), (1,), (2,)))
     d = pp.make_discount("custom", 3, weights=(1, 0.5, 0))
     best = _solve([3, 1, 2], d, strategy="sort")
@@ -156,6 +160,7 @@ def test_local_search_fixed_point_at_canonical_optimum():
 
 
 def test_local_search_objective_never_below_seed():
+    # The seed listed as the identity order is the floor.
     rng = np.random.default_rng(5)
     for _ in range(50):
         m = int(rng.integers(3, 10))
@@ -172,7 +177,9 @@ def test_local_search_objective_never_below_seed():
 
 
 def test_local_search_singletons_reach_sort_value_any_seed():
-    # includes plateau discounts, where strict-improvement search alone stalls
+    # Whichever seed is listed as the identity order, and so is the floor,
+    # the climb reaches the sort value; includes plateau discounts, where
+    # strict-improvement search alone stalls.
     rng = np.random.default_rng(6)
     for trial in range(120):
         m = int(rng.integers(2, 8))
@@ -197,35 +204,150 @@ def test_local_search_plateau_traversal_example():
 
 
 def test_local_search_gap_to_dp_is_measured_not_assumed():
+    # A fixed corpus of dcg and cutoff instances of 4 to 12 blocks. The
+    # shipped climb's largest and mean gap to subset_dp, relative to
+    # max(1, |optimum|), are at or below those of the same climb from the
+    # identity order, and never negative. The identity start leaves a gap on
+    # this corpus, so the comparison is not between two zeros.
     rng = np.random.default_rng(7)
-    gaps = []
-    for _ in range(60):
-        m = int(rng.integers(4, 11))
-        k = int(rng.integers(2, min(m, 7) + 1))
+    lams = (0.0, 0.25, 0.5, 0.75, 1.0)
+    shipped, identity = [], []
+    for i in range(40):
+        k = int(rng.integers(4, 13))
+        m = int(rng.integers(k, 3 * k + 1))
+        if i % 2:
+            d = pp.make_discount("dcg", m)
+        else:
+            d = pp.make_discount("cutoff", m, cutoff=int(rng.integers(1, m + 1)))
+        u, v = rng.random(m) * 5, rng.random(m) * 5
         part = random_partition(rng, m, k)
-        scores = rng.random(m) * 5
-        d = random_discount(rng, m)
-        ls = _solve(scores, d, part.blocks, "local_search")
-        dp = _solve(scores, d, part.blocks, "subset_dp")
-        gap = pp.allocation_value(dp, scores, d) - pp.allocation_value(ls, scores, d)
-        assert gap >= -1e-12
-        gaps.append(gap)
-    # heuristic: the gap exists on some instances; never negative on any
-    assert max(gaps) >= 0.0
+        inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=d)
+        ls = pp.solve_grid(inst, lams, strategy="local_search")
+        dp = pp.solve_grid(inst, lams, strategy="subset_dp")
+        ref = _reference_local_search_orders(inst, u, v, lams, start=lambda part, *_: range(part.block_count))
+        for lam, got, best, (order, _) in zip(lams, ls, dp, ref):
+            alloc = pp.build_allocation(part, order)
+            value = lam * pp.allocation_value(alloc, u, d) + (1.0 - lam) * pp.allocation_value(alloc, v, d)
+            scale = max(1.0, abs(best.objective))
+            shipped.append((best.objective - got.objective) / scale)
+            identity.append((best.objective - value) / scale)
+    assert min(shipped) >= -1e-12
+    assert max(identity) > 0.0
+    assert max(shipped) <= max(identity)
+    assert sum(shipped) <= sum(identity)
 
 
-def _reference_local_search(partition, contrib_obj, contrib_agent, block_keys):
-    """The local search as it stood before it read flat views of Python
-    floats: two-dimensional numpy reads, numpy-scalar sums, the block pair
-    re-read from the order at every position and _tol after every swap."""
-    k = partition.block_count
+def test_local_search_equals_geometric_index_on_geometric_curves():
+    # The start ranks by Smith's ratio index times 1 - beta: an optimal order.
+    rng = np.random.default_rng(8)
+    lams = (0.0, 0.3, 0.7, 1.0)
+    for _ in range(30):
+        k = int(rng.integers(2, 41))
+        m = int(rng.integers(k, 3 * k + 1))
+        d = pp.make_discount("geometric", m, beta=float(rng.choice((0.3, 0.5, 0.9))))
+        u, v = rng.random(m) * 5, rng.random(m) * 5
+        inst = make_instance(agent=[u], advocate=[v], blocks=random_partition(rng, m, k).blocks, discount=d)
+        ls = pp.solve_grid(inst, lams, strategy="local_search")
+        exact = pp.solve_grid(inst, lams, strategy="geometric_index")
+        for got, want in zip(ls, exact):
+            assert abs(got.objective - want.objective) <= solver._tol(want.objective)
+
+
+def test_local_search_equals_sort_on_singletons():
+    # The start of singletons is the order of their scores, which is optimal.
+    rng = np.random.default_rng(9)
+    lams = (0.0, 0.3, 0.7, 1.0)
+    for trial in range(30):
+        m = int(rng.integers(2, 41))
+        if trial % 2:
+            d = pp.make_discount("cutoff", m, cutoff=int(rng.integers(1, m + 1)))
+        else:
+            d = random_discount(rng, m)
+        u, v = rng.integers(0, 4, m).astype(float), rng.random(m) * 5
+        inst = make_instance(agent=[u], advocate=[v], blocks=[(i,) for i in range(m)], discount=d)
+        ls = pp.solve_grid(inst, lams, strategy="local_search")
+        exact = pp.solve_grid(inst, lams, strategy="sort")
+        for got, want in zip(ls, exact):
+            assert abs(got.objective - want.objective) <= solver._tol(want.objective)
+
+
+def test_local_search_starts_from_the_identity_order_when_it_is_strictly_higher():
+    # Cutoff 3 over 4 objects. The ratio order puts the pair (8, 1) first, at
+    # 9 / 2 above 3 and 2, for 8 + 1 + 3 = 12, and no adjacent swap from it
+    # gains. The identity order takes 3 + 2 + 8 = 13, so the climb starts
+    # there, and ends there.
+    d = pp.make_discount("cutoff", 4, cutoff=3)
+    part = pp.Partition(((2,), (0,), (3, 1)))
+    scores = [2.0, 1.0, 3.0, 8.0]
+    contrib = block_major_contribs(part, scores, d.weights)
+    zeros = np.zeros_like(contrib)
+    keys = solver._block_keys(part, scores)
+    ratio = (2, 0, 1)
+    assert _reference_local_search(part, contrib, zeros, keys, ratio)[0] == ratio
+    assert _reference_objective(part, contrib, ratio) == 12.0
+    assert _reference_start(part, d.weights, zeros, contrib, 0.0) == [0, 1, 2]
+    out = _solve(scores, d, part.blocks, "local_search")
+    assert out.block_order == (0, 1, 2)
+    assert pp.allocation_value(out, scores, d) == 13.0
+
+
+def test_local_search_keeps_the_ratio_start_when_the_identity_order_ties_it():
+    # Cutoff 2 over 4 objects. The ratio order (3, 2, then the pair (3, 0)
+    # at 3 / 2) and the identity order both take 5. The climb starts from
+    # the ratio order and reaches 6; from the identity order it would stop
+    # at 5.
+    d = pp.make_discount("cutoff", 4, cutoff=2)
+    part = pp.Partition(((0,), (3, 2), (1,)))
+    scores = [2.0, 3.0, 0.0, 3.0]
+    contrib = block_major_contribs(part, scores, d.weights)
+    zeros = np.zeros_like(contrib)
+    keys = solver._block_keys(part, scores)
+    assert _reference_objective(part, contrib, (2, 0, 1)) == _reference_objective(part, contrib, (0, 1, 2)) == 5.0
+    assert _reference_local_search(part, contrib, zeros, keys, (0, 1, 2))[0] == (0, 1, 2)
+    assert _reference_start(part, d.weights, zeros, contrib, 0.0) == [2, 0, 1]
+    out = _solve(scores, d, part.blocks, "local_search")
+    assert out.block_order == (2, 1, 0)
+    assert pp.allocation_value(out, scores, d) == 6.0
+
+
+def _reference_objective(partition, contrib_obj, order):
+    """The objective of order on a block-major table, as a numpy-scalar sum
+    by position."""
     lengths = partition.block_lengths()
-    order = list(range(k))
     cur = 0.0
     off = 0
     for b in order:
         cur += contrib_obj[b, off]
         off += lengths[b]
+    return cur
+
+
+def _reference_start(partition, weights, contrib_u, contrib_v, lam):
+    """The climb's start: blocks by descending head-weight ratio, the value
+    at offset 0 over the summed weights the block covers there, ties by
+    ascending index; or the identity order when its objective is strictly
+    higher."""
+    lengths = np.array(partition.block_lengths())
+    heads = np.cumsum(weights)[lengths - 1]
+    r_u, r_v = contrib_u[:, 0] / heads, contrib_v[:, 0] / heads
+    index = (lam * r_u + (1.0 - lam) * r_v).tolist()
+    ratio = sorted(range(partition.block_count), key=lambda b: (-index[b], b))
+    identity = list(range(partition.block_count))
+    obj = lam * contrib_u + (1.0 - lam) * contrib_v
+    if _reference_objective(partition, obj, identity) > _reference_objective(partition, obj, ratio):
+        return identity
+    return ratio
+
+
+def _reference_local_search(partition, contrib_obj, contrib_agent, block_keys, start):
+    """The local search as it stood before it read flat views of Python
+    floats: two-dimensional numpy reads, numpy-scalar sums, the block pair
+    re-read from the order at every position and _tol after every swap. It
+    climbs from start as given."""
+    k = partition.block_count
+    lengths = partition.block_lengths()
+    order = list(start)
+    cur = _reference_objective(partition, contrib_obj, order)
     tie = False
     tol = solver._tol(cur)
     for _ in range(8 * k + 32):
@@ -264,8 +386,9 @@ def _reference_local_search(partition, contrib_obj, contrib_agent, block_keys):
     return tuple(order), tie
 
 
-def _reference_local_search_orders(instance, u, v, lams):
-    """_reference_local_search per lambda, on block-major (K, M+1) tables."""
+def _reference_local_search_orders(instance, u, v, lams, start=_reference_start):
+    """_reference_local_search per lambda, on block-major (K, M+1) tables,
+    from start(partition, weights, contrib_u, contrib_v, lam)."""
     part, weights = instance.partition, instance.discount.weights
     contrib_u = block_major_contribs(part, u, weights)
     contrib_v = block_major_contribs(part, v, weights)
@@ -275,6 +398,7 @@ def _reference_local_search_orders(instance, u, v, lams):
             lam * contrib_u + (1.0 - lam) * contrib_v,
             contrib_u,
             solver._block_keys(part, combined_scores(lam, u, v)),
+            start(part, weights, contrib_u, contrib_v, lam),
         )
         for lam in lams
     ]
@@ -402,6 +526,28 @@ def test_brute_force_refuses_a_table_past_its_cell_cap(monkeypatch):
         assert (solver._refuse_brute_force(part, d) is not None) == refused
     with pytest.raises(pp.SolverContractError, match=r"block orders x objects \(16813440\)"):
         brute_force_oracle(part, list(range(m)), d)
+
+
+def test_local_search_refuses_block_tables_past_their_cell_cap(monkeypatch):
+    # The benchmark shape holds (2000 + 1) x 400 = 800400 cells in each
+    # block table, 6.4 MB. At a cap of exactly that it solves; one cell
+    # under, it is refused before any table is built.
+    rng = np.random.default_rng(400)
+    m, k = 2000, 400
+    blocks = tuple(tuple(range(5 * b, 5 * b + 5)) for b in range(k))
+    inst = make_instance(agent=[rng.random(m)], advocate=[rng.random(m)], blocks=blocks, discount=pp.make_discount("dcg", m))
+    monkeypatch.setattr(solver, "_LOCAL_SEARCH_CELLS", 800400)
+    [result] = pp.solve_grid(inst, [0.5], strategy="local_search")
+    assert result.strategy_used == "local_search"
+    monkeypatch.setattr(solver, "_LOCAL_SEARCH_CELLS", 800399)
+    tracemalloc.start()
+    try:
+        with pytest.raises(pp.ValidationError, match=r"\(M \+ 1\) x K \(800400\) exceed the limit 800399"):
+            pp.solve_grid(inst, [0.5], strategy="local_search")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 BRUTE_LAYOUTS = (
