@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -235,6 +236,29 @@ class Partition:
     def block_lengths(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
+    @cached_property
+    def _layout(self) -> _Layout:
+        """The flat table build_allocation lays block orders out by, built
+        on first need. Not a field, so equality, hashing and repr skip it."""
+        objects = np.array([i for b in self.blocks for i in b], dtype=object)
+        lengths = np.fromiter(map(len, self.blocks), dtype=np.intp, count=len(self.blocks))
+        return _Layout(objects.astype(np.intp), objects, np.add.accumulate(lengths), lengths, np.arange(objects.size))
+
+
+class _Layout(NamedTuple):
+    """A partition's blocks laid end to end in index order.
+
+    Slot j of this flat table holds catalog index positions[j], the same int
+    object as objects[j]; slots[j] is j. Block b fills the slots up to ends[b],
+    the last lengths[b] of them.
+    """
+
+    positions: np.ndarray
+    objects: np.ndarray
+    ends: np.ndarray
+    lengths: np.ndarray
+    slots: np.ndarray
+
 
 @dataclass(frozen=True, eq=False)
 class DiscountCurve(_Value):
@@ -416,25 +440,50 @@ class Allocation:
     block_order: tuple[int, ...]
     object_order: tuple[int, ...]
 
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """object_order as an index array; build_allocation sets it from its
+        own gather. Not a field, so equality and repr skip it."""
+        return np.array(self.object_order, dtype=np.intp)
+
 
 def build_allocation(partition: Partition, block_order: Sequence[int]) -> Allocation:
-    """Lay blocks out in the given order, preserving each block's run."""
-    order = tuple(int(i) for i in block_order)
-    if sorted(order) != list(range(partition.block_count)):
+    """Lay blocks out in the given order, preserving each block's run.
+
+    One gather through the partition's flat table lays the order out: the
+    j-th block of the order, b, fills the display from c - run[j] up to c,
+    where c sums run[:j + 1], so display position p holds the flat slot
+    ends[b] - c + p. object_order shares the partition's int objects.
+    """
+    positions, objects, ends, lengths, slots = partition._layout
+    k = lengths.size
+    try:
+        order = np.fromiter(block_order, dtype=np.intp)
+        # The gather refuses an entry of K or more, by which bincount would
+        # size its table; bincount refuses a negative one.
+        run = lengths[order]
+        ok = order.size == k and np.count_nonzero(np.bincount(order)) == k
+    except (IndexError, OverflowError, ValueError):
+        ok = False
+    if not ok:
         raise ValidationError("allocation: block_order must be a permutation of the block indices")
-    object_order = tuple(obj for b in order for obj in partition.blocks[b])
-    return Allocation(order, object_order)
+    at = ends[order]
+    at -= np.add.accumulate(run)
+    at = at.repeat(run)
+    at += slots
+    alloc = Allocation(tuple(order.tolist()), tuple(objects[at].tolist()))
+    alloc.__dict__["_index"] = positions[at]
+    return alloc
 
 
 def allocation_value(allocation: Allocation, scores, discount: DiscountCurve) -> float:
     """Position-weighted sum of scores under the given display order."""
     s = np.asarray(scores, dtype=float)
-    if s.ndim != 1 or s.size != len(discount):
+    if s.ndim != 1 or s.size != discount.weights.size:
         raise ValidationError("scores: length must match the discount horizon")
     if len(allocation.object_order) != s.size:
         raise ValidationError("allocation: size does not match the score vector")
-    order = np.array(allocation.object_order, dtype=np.intp)
-    return float(np.dot(discount.weights, s[order]))
+    return float(discount.weights.dot(s[allocation._index]))
 
 
 def refine_partition(partition: Partition, split_spec: Mapping[int, Sequence[int]]) -> Partition:

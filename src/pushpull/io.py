@@ -17,6 +17,7 @@ import io as _io
 import json
 import math
 import operator
+import os
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -347,8 +348,17 @@ def load_instance(document) -> Instance:
     return Instance(catalog, partition, type_space, utilities, discount, channel)
 
 
+def _check_size(path, label: str) -> None:
+    """Refuse a file of more than scenarios.MAX_INPUT_BYTES before any of it
+    is read. A pipe reports size 0 and passes."""
+    size, limit = os.stat(path).st_size, scenarios.MAX_INPUT_BYTES
+    if size > limit:
+        raise ValidationError(f"{label}: {path} holds {size} bytes, more than the limit {limit}")
+
+
 def read_instance_json(path) -> Instance:
     try:
+        _check_size(path, "instance")
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"instance: cannot read {path}: {err}") from None
@@ -380,7 +390,14 @@ def instance_digest(instance: Instance) -> str:
 
 
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's SHA-256, read in chunks: validate digests a file before
+    read_instance_json checks its size, so the digest holds no more of it
+    than a chunk."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(functools.partial(handle.read, 1 << 18), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _read_csv(path, header: Sequence[str], label: str) -> list[tuple[int, dict]]:
@@ -388,6 +405,7 @@ def _read_csv(path, header: Sequence[str], label: str) -> list[tuple[int, dict]]
     `header`; blank rows skip. Every row with the wrong field count is
     reported, in one error."""
     try:
+        _check_size(path, label)
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             if next(reader, None) != list(header):
@@ -481,8 +499,11 @@ def ingest_relevance_log(
         raise ValidationError(problems)
     # Users of one catalog size share its curve; a size whose curve fails
     # is tried again for each of its users, so each lists the violation.
+    # Users of one block layout share its partition, and so the flat table
+    # that the partition builds to lay out allocations.
     params = dict(discount_params or {})
     discounts: dict[int, DiscountCurve] = {}
+    partitions: dict[tuple, Partition] = {}
     type_space = TypeSpace(types=("user",), prior=(1.0,))
     posterior = prior_posterior(type_space)
     out = []
@@ -492,9 +513,13 @@ def ingest_relevance_log(
             discount = discounts.get(m)
             if discount is None:
                 discount = discounts[m] = make_discount(discount_kind, m, **params)
+            blocks = tuple(tuple(ixs) for ixs in entry["blocks"].values())
+            partition = partitions.get(blocks)
+            if partition is None:
+                partition = partitions[blocks] = Partition(blocks)
             instance = Instance(
                 catalog=Catalog(tuple(entry["objects"])),
-                partition=Partition(tuple(tuple(ixs) for ixs in entry["blocks"].values())),
+                partition=partition,
                 type_space=type_space,
                 utilities=UtilityTable(agent=[entry["agent"]], advocate=[entry["advocate"]]),
                 discount=discount,

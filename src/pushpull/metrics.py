@@ -121,7 +121,8 @@ class RefineComparison:
 
 
 # Upper bound on grid points x catalog objects. A frontier holds one object
-# order per point, so 10^7 cells keep those tuples near 100 MB.
+# order per point, as a tuple and as the allocation's index array, 8 bytes a
+# cell each, so 10^7 cells keep them near 160 MB.
 MAX_GRID_CELLS = 10_000_000
 
 

@@ -55,6 +55,17 @@ MAX_OBJECTS = 100_000
 MAX_TYPES = 1_000
 MAX_CELLS = 1_000_000
 
+# Upper bound on the bytes of an input file: an instance document, a
+# relevance log or a metrics CSV, checked before the file is read. The
+# largest document the bounds above admit holds three tables of MAX_CELLS
+# numbers (agent_u, advocate_v and the likelihood), up to MAX_OBJECTS custom
+# weights and MAX_OBJECTS identifiers twice (catalog and partition). As
+# write_instance_json lays it out, a number takes at most 33 bytes (8 of
+# indent, a 23-character float, a comma and a newline) and a generated
+# identifier with its block brackets under 30, so about 109 MB in all:
+# 128 MiB leaves room above that.
+MAX_INPUT_BYTES = 1 << 27
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:

@@ -184,7 +184,9 @@ def _tiered_order(primary: np.ndarray, secondary: np.ndarray, stretches) -> tupl
     secondary desc, and secondary-level ties fall back to ascending index.
     Each (p, q) in stretches then orders positions p..q-1 by index, as a tie.
     """
-    order = np.lexsort((-secondary, -primary))
+    # Equal primaries fall into one near run, whose walk below orders them
+    # by (-secondary, index), so the stable sort needs no secondary key.
+    order = np.argsort(-primary, kind="stable")
     ranked = primary[order]
     # A run of two or more can start only where the next value lies within
     # tolerance; every other position is a run of one.
@@ -625,7 +627,7 @@ def _block_keys(partition: Partition, scores) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(s[j]) for j in block) for block in partition.blocks)
 
 
-def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_keys, start):
+def _order_local_search(partition: Partition, contrib_obj, contrib_agent, bound, scores, start):
     """Adjacent-transposition hill climb over block orders, from start.
 
     The climb starts from the identity order instead when that order's
@@ -642,6 +644,10 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
     touched since the pair last lost by more than safe. A clean pair would
     lose again, with no tie, so the swaps, the sweeps and the tie flag are
     those of comparing every pair in every sweep.
+
+    bound is at least the largest |entry| of contrib_obj. scores() gives
+    the per-object scores of the block keys; the climb calls it when a pair
+    first ties on both objective and agent value, and most climbs never do.
     """
     k = partition.block_count
     # Both tables are read as flat views of Python floats, entry (b, off) at
@@ -664,12 +670,13 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
     if identity[2] > cur:
         order, bases, cur = identity
     tie = False
-    # No order's objective exceeds K * max|obj| in magnitude, so no _tol(cur)
+    # No order's objective exceeds K * bound in magnitude, so no _tol(cur)
     # the search meets reaches safe: a delta above safe always swaps, one
     # below floor = -safe neither swaps nor ties, and only one between them
-    # reads _tol.
-    safe = 2.0 * _tol(k * float(max(contrib_obj.max(), -contrib_obj.min())))
+    # reads _tol. A larger bound only sends more deltas down that path.
+    safe = 2.0 * _tol(k * bound)
     floor = -safe
+    block_keys = None
     # dirty[pos] for the pair at pos and pos + 1. compress reads it as the
     # sweep goes, so a swap that marks pos + 1 compares it next, with the
     # block it moved. dirty[k - 1] belongs to no pair: the marks past either
@@ -704,6 +711,8 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, block_
                         if du > tol_u:
                             swap = True
                         elif abs(du) <= tol_u:
+                            if block_keys is None:
+                                block_keys = _block_keys(partition, scores())
                             if block_keys[b] > block_keys[a]:
                                 swap = True
                             elif block_keys[b] == block_keys[a] and b < a:
@@ -880,15 +889,20 @@ def _local_search_orders(instance, beliefs):
         r_u, r_v = contrib_u[:k] / heads, contrib_v[:k] / heads
         # Each lambda's table lam * contrib_u + (1 - lam) * contrib_v is
         # written into the same two buffers; the search keeps no reference.
+        # Its entries lie within lam * max_u + (1 - lam) * max_v, since
+        # rounding is monotone. max and min, not np.abs, which would
+        # allocate a table-sized temporary.
         combined, advocate = np.empty_like(contrib_u), np.empty_like(contrib_v)
+        max_u, max_v = (float(max(t.max(), -t.min())) for t in (contrib_u, contrib_v))
         for lam in lams:
             np.multiply(lam, contrib_u, out=combined)
             np.multiply(1.0 - lam, contrib_v, out=advocate)
             combined += advocate
-            keys = _block_keys(partition, combined_scores(lam, u_bar, v_bar))
+            bound = lam * max_u + (1.0 - lam) * max_v
             # Descending index; a stable sort keeps tied blocks by index.
             start = np.argsort(-(lam * r_u + (1.0 - lam) * r_v), kind="stable").tolist()
-            out.append(_order_local_search(partition, combined, contrib_u, keys, start))
+            scores = partial(combined_scores, lam, u_bar, v_bar)
+            out.append(_order_local_search(partition, combined, contrib_u, bound, scores, start))
     return out
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushpull as pp
+from pushpull import solver
 
 from helpers import make_instance, random_partition
 
@@ -80,9 +81,87 @@ def test_allocation_positions_invert_order():
 
 
 def test_build_allocation_rejects_non_permutation():
+    # Repeated, negative, K or more, short, long, and too large for an
+    # index. (-1, 0) would pass a check that marks seen[o]: -1 wraps to K - 1.
+    # (2**40, 0) would ask a count per index value for 8 TB.
     part = pp.Partition(((0,), (1,)))
-    with pytest.raises(pp.ValidationError):
-        pp.build_allocation(part, (0, 0))
+    for order in [(0, 0), (-1, 0), (0, -2), (0, 2), (2, 0), (0,), (), (0, 1, 2), (1, 0, 0), (2**40, 0), (2**70, 0)]:
+        with pytest.raises(pp.ValidationError, match="permutation"):
+            pp.build_allocation(part, order)
+
+
+def test_build_allocation_reads_numpy_ints_and_floats_as_ints():
+    part = pp.Partition(((0, 1), (2,)))
+    for order in [(np.int64(1), 0.0), np.array([1, 0]), [1.0, np.int32(0)], (b for b in (1, 0))]:
+        alloc = pp.build_allocation(part, order)
+        assert alloc.block_order == (1, 0) and alloc.object_order == (2, 0, 1)
+        assert all(type(i) is int for i in alloc.block_order + alloc.object_order)
+
+
+def test_object_order_holds_the_partitions_own_int_objects():
+    # The interpreter caches the ints up to 256 only, so these 2000 catalog
+    # indices are distinct objects; fresh ones per allocation would cost
+    # their memory again at every frontier point.
+    part = pp.Partition(tuple((i, i + 1000) for i in range(1000)))
+    held = {id(i) for block in part.blocks for i in block}
+    alloc = pp.build_allocation(part, range(999, -1, -1))
+    assert alloc.object_order[:4] == (999, 1999, 998, 1998)
+    assert all(id(i) in held for i in alloc.object_order)
+
+
+def _reference_layout(partition, block_order):
+    """build_allocation as it stood before the flat-table gather: the block
+    order read by int(), checked by sorting, laid out by a generator."""
+    order = tuple(int(i) for i in block_order)
+    if sorted(order) != list(range(partition.block_count)):
+        raise pp.ValidationError("allocation: block_order must be a permutation of the block indices")
+    return order, tuple(obj for b in order for obj in partition.blocks[b])
+
+
+def _reference_value(object_order, scores, weights):
+    """allocation_value as it stood: the object order turned into an index
+    array on every call."""
+    return float(np.dot(weights, np.asarray(scores, dtype=float)[np.array(object_order, dtype=np.intp)]))
+
+
+@st.composite
+def layouts(draw):
+    """A partition (singletons, mixed lengths, one block, or one object), a
+    block order and agent and advocate scores of many magnitudes."""
+    kind = draw(st.sampled_from(["singletons", "mixed", "one block", "one object"]))
+    m = 1 if kind == "one object" else draw(st.integers(1, 40))
+    perm = draw(st.permutations(range(m)))
+    cuts = []
+    if kind == "singletons":
+        cuts = list(range(1, m))
+    elif kind == "mixed" and m > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, m - 1))))
+    bounds = [0, *cuts, m]
+    part = pp.Partition(tuple(tuple(perm[a:z]) for a, z in zip(bounds, bounds[1:])))
+    order = draw(st.permutations(range(part.block_count)))
+    number = st.floats(0, 1e12) | st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1e300])
+    u, v = (draw(st.lists(number, min_size=m, max_size=m)) for _ in range(2))
+    return part, tuple(order), u, v
+
+
+@given(layouts(), st.floats(0, 1), st.sampled_from(["dcg", "geometric", "cutoff"]))
+@settings(max_examples=300, deadline=None)
+def test_flat_table_layout_matches_the_generator_layout_bit_for_bit(layout, lam, kind):
+    part, order, u, v = layout
+    m = part.size
+    params = {"geometric": {"beta": 0.7}, "cutoff": {"cutoff": max(1, m // 2)}}.get(kind, {})
+    d = pp.make_discount(kind, m, **params)
+    want_order, want_objects = _reference_layout(part, order)
+    alloc = pp.build_allocation(part, order)
+    assert alloc.block_order == want_order and alloc.object_order == want_objects
+    want_u, want_v = (_reference_value(want_objects, s, d.weights) for s in (u, v))
+    assert pp.allocation_value(alloc, u, d).hex() == want_u.hex()
+    assert pp.allocation_value(alloc, v, d).hex() == want_v.hex()
+    inst = make_instance(agent=[u], advocate=[v], blocks=part.blocks, discount=d)
+    result = solver._result_for(inst, np.array(u), np.array(v), lam, order, "sort", False)
+    assert result.allocation == pp.Allocation(want_order, want_objects)
+    assert result.agent_value.hex() == want_u.hex() and result.advocate_value.hex() == want_v.hex()
+    assert result.objective.hex() == (lam * want_u + (1.0 - lam) * want_v).hex()
 
 
 @given(

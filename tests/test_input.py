@@ -5,15 +5,17 @@ mutation test at the end checks the loader as a whole.
 """
 
 import copy
+import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import pushpull as pp
-from pushpull import io
+from pushpull import io, scenarios
 from pushpull.cli import main
 
 from helpers import E1_DOC, E1_LOG, SIGNAL_DOC
@@ -100,6 +102,72 @@ def test_largest_benchmark_and_preset_sizes_pass_the_bound():
     pp.ScenarioSpec(kind="random", seed=1, objects=5_000, blocks=5_000, types=8, signals=8)
     for name in pp.PRESETS:
         pp.ScenarioSpec(kind="preset", seed=1, preset_name=name)
+
+
+def _metrics_csv(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text(E1_LOG)
+    return CliRunner().invoke(main, ["ingest", str(log)]).output
+
+
+# The command that reads each kind of input file, a valid file of that kind,
+# and its reader.
+READERS = {
+    "validate": (lambda tmp_path: json.dumps(E1_DOC), io.read_instance_json),
+    "ingest": (lambda tmp_path: E1_LOG, io.read_relevance_log),
+    "aggregate": (_metrics_csv, io.read_user_metrics_csv),
+}
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_input_files_are_bounded_by_bytes_before_they_are_read(tmp_path, monkeypatch, command):
+    # A valid file padded with newlines to 1 MB, which JSON and the CSV
+    # readers both skip: at the limit it is read, one byte past it the
+    # command exits 2 naming both sizes, and the reader refuses it without
+    # reading it.
+    text, reader = READERS[command]
+    path = tmp_path / "input"
+    body = text(tmp_path)
+    path.write_text(body + "\n" * ((1 << 20) - len(body.encode())))
+    size = path.stat().st_size
+    assert size == 1 << 20
+    monkeypatch.setattr(scenarios, "MAX_INPUT_BYTES", size)
+    out = CliRunner().invoke(main, [command, str(path)])
+    assert out.exit_code == 0, out.output
+    monkeypatch.setattr(scenarios, "MAX_INPUT_BYTES", size - 1)
+    out = CliRunner().invoke(main, [command, str(path)])
+    assert out.exit_code == 2, out.output
+    assert f"holds {size} bytes, more than the limit {size - 1}" in out.stderr
+    tracemalloc.start()
+    try:
+        with pytest.raises(pp.ValidationError, match=f"holds {size} bytes"):
+            reader(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def test_file_digest_holds_a_chunk_of_the_file_not_all_of_it(tmp_path):
+    # validate digests each file before read_instance_json checks its size.
+    path = tmp_path / "big.json"
+    path.write_bytes(bytes(range(256)) * (1 << 14))
+    tracemalloc.start()
+    try:
+        got = io.file_digest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 1 << 20
+
+
+def test_the_byte_bound_admits_the_largest_document_of_the_size_bounds():
+    # Three tables of MAX_CELLS numbers and MAX_OBJECTS weights at 33 bytes,
+    # the widest a number is written, and two lists of MAX_OBJECTS
+    # identifiers with their brackets at 30.
+    numbers = 3 * scenarios.MAX_CELLS + scenarios.MAX_OBJECTS
+    assert numbers * 33 + 2 * scenarios.MAX_OBJECTS * 30 < scenarios.MAX_INPUT_BYTES
 
 
 # -- mutation test ------------------------------------------------------------

@@ -980,3 +980,50 @@ def test_tiered_order_ties_each_value_with_its_run_anchor_only(n):
     pairs = [(i + 1, i) if i + 1 < n else (i,) for i in range(0, n, 2)]
     want = tuple(b for pair in pairs for b in pair)
     assert solver._tiered_order(primary, secondary, ()) == (want, n > 1)
+
+
+def _reference_tiered_order(primary, secondary, stretches):
+    """_tiered_order as it stood when it ranked by one stable np.lexsort on
+    (-primary, -secondary), before the run walk."""
+    order = np.lexsort((-secondary, -primary))
+    ranked = primary[order]
+    near = np.abs(ranked[1:] - ranked[:-1]) <= solver.TIE_TOL * np.maximum(1.0, np.abs(ranked[:-1]))
+    order, values, agent = order.tolist(), ranked.tolist(), secondary.tolist()
+    tie = bool(stretches)
+    stop = 0
+    for k in np.flatnonzero(near).tolist():
+        if k < stop:
+            continue
+        stop = solver._run_stop(values, k)
+        tie = True
+        group = sorted(order[k:stop], key=lambda i: (-agent[i], i))
+        for g, h in solver._runs([agent[i] for i in group]):
+            group[g:h] = sorted(group[g:h])
+        order[k:stop] = group
+    for p, q in stretches:
+        order[p:q] = sorted(order[p:q])
+    return tuple(order), tie
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_tiered_order_matches_the_lexsort_ranking(data):
+    # Exact ties (integer-valued primaries) and near ties (3e-13 steps, so
+    # anchored runs) with random or integer-valued secondaries, with and
+    # without stretches. Ranked by primary alone, equal primaries come out
+    # by index, so only the run walk's re-sort by secondary puts them where
+    # the lexsort did.
+    n = data.draw(st.integers(1, 30), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    family = data.draw(st.sampled_from(["integer", "near", "random"]), label="primary")
+    if family == "integer":
+        primary = rng.integers(0, 4, n).astype(float)
+    elif family == "near":
+        primary = 1.0 + rng.integers(0, 6, n) * 3e-13
+    else:
+        primary = rng.random(n)
+    secondary = rng.integers(0, 3, n).astype(float) if data.draw(st.booleans(), label="integer secondary") else rng.random(n)
+    bounds = sorted(data.draw(st.sets(st.integers(0, n), max_size=6), label="bounds") | {0, n})
+    stretches = [(p, q) for p, q in zip(bounds, bounds[1:]) if q - p > 1 and data.draw(st.booleans())]
+    want = _reference_tiered_order(primary, secondary, stretches)
+    assert solver._tiered_order(primary, secondary, stretches) == want
