@@ -32,7 +32,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import compress, pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -539,7 +539,7 @@ def _dp_agent_to_go(contrib_obj, contrib_agent, go, tables, tol) -> np.ndarray:
     return gu
 
 
-def _dp_walk(obj, agent, go, walk, order, gu=None):
+def _dp_walk(obj, agent, go, walk, order, gu=None, gaps=None):
     """Greedy reconstruction of one DP row along tied-optimal branches.
 
     obj and agent are the row's objective and agent block tables as lists,
@@ -551,7 +551,9 @@ def _dp_walk(obj, agent, go, walk, order, gu=None):
     flag. Without gu the walk returns None at its first tie before P, so a
     row without one never needs the agent pass. order then holds the
     choices before that tie, which a walk with gu makes too, so that walk
-    resumes from it.
+    resumes from it. With gaps, a list, the walk appends the gap of each
+    step before P that leaves a choice: the chosen block's value less the
+    best other block's.
     """
     low, high, h, k, horizon = walk
     full = (1 << k) - 1
@@ -585,17 +587,28 @@ def _dp_walk(obj, agent, go, walk, order, gu=None):
             uvals = np.array([agent[base + i] + agent_value(state | (1 << i)) for i in cands])
             cands = [i for i, near in zip(cands, _near_best(uvals)) if near]
         choice = cands[0]
+        if gaps is not None:
+            rivals = [
+                obj[base + i] + value(state | (1 << i))
+                for i in range(k)
+                if not (state >> i) & 1 and i != choice
+            ]
+            if rivals:
+                gaps.append(obj[base + choice] + value(state | (1 << choice)) - max(rivals))
         order.append(choice)
         state |= 1 << choice
     return tie
 
 
-def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
+def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent, margins: bool = False):
     """Solve one subset DP per objective row, column r of contrib_obj.
 
     contrib_agent is the agent table that every row shares, as one column,
     or one column per row. Rows whose walk meets a tie share one agent
-    pass, then resume their walk from that tie.
+    pass, then resume their walk from that tie. Each row gives its order
+    and tie flag; with margins, also its margin and its tolerance. The
+    margin is the smallest gap of the walk (_dp_walk), inf without one,
+    and -inf for a row that tied before P.
     """
     go = _dp_value_to_go(contrib_obj, tables)
     low, high = tables.low, tables.high
@@ -606,7 +619,11 @@ def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
     read = tables.horizon * tables.k
     rows = range(contrib_obj.shape[1])
     orders = [[] for _ in rows]
-    ties = [_dp_walk(contrib_obj[:read, r].tolist(), None, go[:, r], walk, orders[r]) for r in rows]
+    gaps = [[] if margins else None for _ in rows]
+    ties = [
+        _dp_walk(contrib_obj[:read, r].tolist(), None, go[:, r], walk, orders[r], gaps=gaps[r])
+        for r in rows
+    ]
     tied = [r for r in rows if ties[r] is None]
     if tied:
         # When every row tied, the agent pass reads go itself, not a copy.
@@ -619,7 +636,13 @@ def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent):
         for j, r in enumerate(tied):
             obj = contrib_obj[:read, r].tolist()
             ties[r] = _dp_walk(obj, agent_lists[0 if shared else j], go[:, r], walk, orders[r], gu[:, j])
-    return [(tuple(order), tie) for order, tie in zip(orders, ties)]
+    out = [(tuple(order), tie) for order, tie in zip(orders, ties)]
+    if not margins:
+        return out
+    return [
+        (*out[r], -math.inf if r in tied else min(gaps[r], default=math.inf), _tol(go.item(0, r)))
+        for r in rows
+    ]
 
 
 def _block_keys(partition: Partition, scores) -> tuple[tuple[float, ...], ...]:
@@ -916,34 +939,81 @@ def _brute_force_orders(instance, beliefs):
     ]
 
 
-def _subset_dp_orders(instance, beliefs):
-    # The rows of every belief go through the DP in chunks that keep rows *
-    # subsets within _DP_CELL_BUDGET; the chunks of one size share one set
-    # of subset tables, and every set is built before the first pass. Each
-    # belief's block values are computed once; a chunk whose rows all hold
-    # one belief shares its agent table, which broadcasts. A belief's rows
-    # are consecutive, so a chunk's first and last row tell.
+def _dp_pass(instance, contribs, rows, margins: bool = False):
+    """_dp_orders of each (belief, lambda) pair of rows, whose belief
+    indexes contribs, the (agent, advocate) block tables of each belief.
+
+    The rows go through the DP in chunks that keep rows * subsets within
+    _DP_CELL_BUDGET; the chunks of one size share one set of subset
+    tables, and every set is built before the first chunk. A chunk whose
+    rows all hold one belief shares its agent table, which broadcasts. A
+    belief's rows are consecutive, so a chunk's first and last row tell.
+    """
     partition = instance.partition
-    contribs, lams, which = [], [], []
-    for b, (u_bar, v_bar, belief_lams) in enumerate(beliefs):
-        contribs.append(_contribs(instance, u_bar, v_bar))
-        lams += belief_lams
-        which += [b] * len(belief_lams)
     chunk = max(1, _DP_CELL_BUDGET >> partition.block_count)
-    starts = range(0, len(lams), chunk)
+    starts = range(0, len(rows), chunk)
     lengths, horizon = partition.block_lengths(), _horizon(instance.discount.weights)
-    tables = {n: _subset_tables(lengths, n, horizon) for n in {min(chunk, len(lams) - s) for s in starts}}
+    tables = {n: _subset_tables(lengths, n, horizon) for n in {min(chunk, len(rows) - s) for s in starts}}
     out = []
     for start in starts:
-        rows = np.array(lams[start : start + chunk])
-        held = which[start : start + chunk]
+        held, lams = zip(*rows[start : start + chunk])
         if held[0] == held[-1]:
             contrib_u, contrib_v = (side[:, None] for side in contribs[held[0]])
         else:
             contrib_u, contrib_v = (np.column_stack(side) for side in zip(*(contribs[b] for b in held)))
-        contrib_obj = rows * contrib_u + (1.0 - rows) * contrib_v
-        out.extend(_dp_orders(tables[len(rows)], contrib_obj, contrib_u))
+        lams = np.array(lams)
+        contrib_obj = lams * contrib_u + (1.0 - lams) * contrib_v
+        out.extend(_dp_orders(tables[len(lams)], contrib_obj, contrib_u, margins))
     return out
+
+
+def _subset_dp_orders(instance, beliefs):
+    # Each belief's block values are computed once. The first pass solves
+    # every lambda of a belief whose lambdas fit one chunk. A belief whose
+    # lambdas fill more than one takes two passes over its sorted distinct
+    # lambdas: the first solves a lattice of them, every ceil(sqrt(n))-th
+    # and the last. Between lattice neighbours a < z that serve one order
+    # with no tie before P, a point copies that order and tie flag where
+    # the line between their margins exceeds twice the larger tolerance;
+    # the second pass solves every other point. For a fixed order the
+    # objective is linear in lambda, so the smallest gap to any rival that
+    # leaves the order's path is concave and stays on or above that line
+    # (README, "Solver strategies").
+    chunk = max(1, _DP_CELL_BUDGET >> instance.partition.block_count)
+    contribs = [_contribs(instance, u_bar, v_bar) for u_bar, v_bar, _ in beliefs]
+    rows, grids = [], {}
+    for b, (_, _, lams) in enumerate(beliefs):
+        if len(lams) > chunk:
+            points = sorted(set(lams))
+            step = math.isqrt(len(points) - 1) + 1
+            grids[b] = points, [*range(0, len(points) - 1, step), len(points) - 1]
+            rows += [(b, points[i]) for i in grids[b][1]]
+        else:
+            rows += [(b, lam) for lam in lams]
+    if not grids:
+        return _dp_pass(instance, contribs, rows)
+    first = iter(_dp_pass(instance, contribs, rows, margins=True))
+    solved, rest = [], []
+    for b, (_, _, lams) in enumerate(beliefs):
+        if b not in grids:
+            solved.append({lam: next(first)[:2] for lam in lams})
+            continue
+        points, lattice = grids[b]
+        ends = [next(first) for _ in lattice]
+        found = {points[i]: end[:2] for i, end in zip(lattice, ends)}
+        for (i, a), (j, z) in pairwise(zip(lattice, ends)):
+            share = a[:2] == z[:2]
+            floor = 2.0 * max(a[3], z[3])
+            for lam in points[i + 1 : j]:
+                t = (lam - points[i]) / (points[j] - points[i])
+                if share and (1.0 - t) * a[2] + t * z[2] > floor:
+                    found[lam] = a[:2]
+                else:
+                    rest.append((b, lam))
+        solved.append(found)
+    for (b, lam), result in zip(rest, _dp_pass(instance, contribs, rest)):
+        solved[b][lam] = result
+    return [found[lam] for found, (_, _, lams) in zip(solved, beliefs) for lam in lams]
 
 
 class _Strategy(NamedTuple):
@@ -1026,10 +1096,22 @@ def _solve_rows(instance: Instance, rows, strategy: str) -> list[tuple[SolveResu
         if refusal is not None:
             raise SolverContractError(refusal)
     orders = iter(_TABLE[strategy].orders(instance, beliefs))
-    return [
-        tuple(
-            _result_for(instance, u_bar, v_bar, lam, order, strategy, tie)
-            for lam, (order, tie) in zip(lams, orders)
-        )
-        for u_bar, v_bar, lams in beliefs
-    ]
+    out = []
+    for u_bar, v_bar, lams in beliefs:
+        # A run of equal consecutive orders shares the allocation and the two
+        # values of its first result; only the objective is per lambda, in
+        # the expression of _result_for.
+        results, last = [], None
+        for lam, (order, tie) in zip(lams, orders):
+            if order != last:
+                last = order
+                first = _result_for(instance, u_bar, v_bar, lam, order, strategy, tie)
+                results.append(first)
+                continue
+            agent_value, advocate_value = first.agent_value, first.advocate_value
+            objective = lam * agent_value + (1.0 - lam) * advocate_value
+            results.append(
+                SolveResult(first.allocation, objective, agent_value, advocate_value, lam, strategy, tie)
+            )
+        out.append(tuple(results))
+    return out

@@ -12,6 +12,10 @@ warm one.
 Under a discount horizon P the kernel solves only the subsets that fill
 fewer than P positions; every other subset must hold the +0.0 that the
 reference computes there.
+
+A lambda grid that fills more than one chunk is solved in two rounds, a
+coarse lattice and then the points no margin proves; its results must equal
+single solves bit for bit, and the tests count the rows each round solves.
 """
 
 import dataclasses
@@ -112,13 +116,17 @@ def _kernel_tables(contrib_obj, contrib_u, tables, tol):
 
 @st.composite
 def instances(draw, max_blocks, kinds=("random", "tie_heavy", "cutoff")):
-    """Random, tie-heavy integer or cutoff instances with up to max_blocks blocks."""
+    """Random, tie-heavy integer, cutoff or anti-aligned instances with up
+    to max_blocks blocks."""
     k = draw(st.integers(1, max_blocks), label="blocks")
     m = draw(st.integers(k, k + 4), label="objects")
     kind = draw(st.sampled_from(kinds), label="kind")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if kind == "tie_heavy":
         u, v = rng.integers(0, 3, m).astype(float), rng.integers(0, 3, m).astype(float)
+    elif kind == "anti_aligned":
+        u = rng.random(m) * 10
+        v = u.max() - u
     else:
         u, v = rng.random(m) * 10, rng.random(m) * 10
     if kind == "cutoff":
@@ -612,3 +620,129 @@ def test_a_cutoff_value_pass_computes_a_fiftieth_of_the_cells_of_dcg(monkeypatch
         pp.solve_grid(inst, [0.5], strategy="subset_dp")
     assert cells[1] == 15 << 14
     assert 0 < 50 * cells[0] <= cells[1]
+
+
+def _rows_spy(monkeypatch):
+    """A list that gets the rows of every value pass from now on."""
+    rows = []
+    value_to_go = solver._dp_value_to_go
+
+    def spy(contrib, tables):
+        rows.append(contrib.shape[1])
+        return value_to_go(contrib, tables)
+
+    monkeypatch.setattr(solver, "_dp_value_to_go", spy)
+    return rows
+
+
+def _single_solves(inst, lams, strategy="auto"):
+    return tuple(pp.solve(pp.SolveRequest(inst, lam, strategy=strategy)) for lam in lams)
+
+
+def _bits_of(results):
+    return [(r.objective.hex(), r.agent_value.hex(), r.advocate_value.hex()) for r in results]
+
+
+@given(
+    instances(max_blocks=8, kinds=("random", "tie_heavy", "cutoff", "anti_aligned")) | horizon_instances(8),
+    st.lists(LAMBDAS | st.floats(0, 1), min_size=2, max_size=60),
+    st.sampled_from((1, 3)),
+)
+@settings(max_examples=80, deadline=None)
+def test_two_round_grids_equal_single_solves(inst, lams, chunk):
+    # A cell budget of chunk rows sends every grid of more than chunk
+    # lambdas, unsorted and repeated, through both rounds.
+    want = _single_solves(inst, lams, "subset_dp")
+    with mock.patch.object(solver, "_DP_CELL_BUDGET", chunk << inst.partition.block_count):
+        got = pp.solve_grid(inst, lams, strategy="subset_dp")
+    assert got == want
+    assert _bits_of(got) == _bits_of(want)
+
+
+def _planted(gap):
+    """Two singleton blocks whose two orders differ by gap at every lambda:
+    the agent and advocate scores are equal, so the combined ones are too."""
+    scores = [0.25 + 2.0 * gap, 0.25]
+    return make_instance(agent=[scores], advocate=[scores], blocks=((0,), (1,)), weights=(1.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "gap, solved",
+    # Nine points take a lattice of 4 (every third and the last). At a gap
+    # of 1.5 tol both ends serve (0, 1) with no tie, but their margin line
+    # stays below 2 tol, so the 5 points between are solved as well.
+    [(1.5 * pp.TIE_TOL, 9), (1e-6, 4)],
+)
+def test_a_grid_copies_an_order_only_where_the_margins_of_its_ends_prove_it(monkeypatch, gap, solved):
+    inst = _planted(gap)
+    lams = pp.lambda_grid(0.0, 1.0, 9)
+    monkeypatch.setattr(solver, "_DP_CELL_BUDGET", 1 << inst.partition.block_count)
+    rows = _rows_spy(monkeypatch)
+    got = pp.solve_grid(inst, lams, strategy="subset_dp")
+    assert sum(rows) == solved
+    assert all(r.allocation.block_order == (0, 1) and not r.tie_broken for r in got)
+    assert got == _single_solves(inst, lams, "subset_dp")
+
+
+def _frontier_rows(monkeypatch, spec):
+    """The rows solved for the 101-point grid of spec's instance, with its
+    results and single solves at every point."""
+    inst = pp.generate(spec)
+    lams = pp.lambda_grid(0.0, 1.0, 101)
+    rows = _rows_spy(monkeypatch)
+    got = pp.solve_grid(inst, lams)
+    solved = sum(rows)
+    return solved, got, _single_solves(inst, lams)
+
+
+def test_an_anti_aligned_frontier_solves_at_most_thirty_rows(monkeypatch):
+    # Two orders serve the grid, with the tie at lambda 0.5 between them:
+    # the lattice of 11 points and the 10 points of the one gap whose ends
+    # differ are solved, and every other point is copied.
+    spec = pp.ScenarioSpec(kind="anti_aligned", seed=1, objects=100, blocks=15, types=8)
+    solved, got, want = _frontier_rows(monkeypatch, spec)
+    assert solved <= 30
+    assert got == want
+    assert _bits_of(got) == _bits_of(want)
+
+
+def test_rows_tied_before_the_horizon_end_no_copied_interval(monkeypatch):
+    # Under the cutoff curve the blocks inside the window swap without
+    # changing either value, so every row of this frontier ties before P.
+    # The agent tier decides such a tie, and the margins of the ends say
+    # nothing about it between them, so every point is solved.
+    spec = pp.ScenarioSpec(
+        kind="random", seed=1, objects=100, blocks=15, types=8, discount=("cutoff", {"cutoff": 20})
+    )
+    solved, got, want = _frontier_rows(monkeypatch, spec)
+    assert solved == 101
+    assert got == want
+
+
+def test_grids_within_one_chunk_take_one_pass_without_margins(monkeypatch):
+    # agency_metrics, noise_sweep and refine_compare at K <= 8 fit one chunk
+    # per partition, so each solves in one value pass and no walk measures
+    # a margin, as in the ingest and CLI workloads.
+    spec = pp.ScenarioSpec(kind="random", seed=3, objects=12, blocks=7, types=3, signals=3, discount=("dcg", {}))
+    inst = pp.generate(spec)
+    block = next(b for b, objects in enumerate(inst.partition.blocks) if len(objects) > 1)
+    refined = pp.refine_partition(inst.partition, {block: [1]})
+    rows = _rows_spy(monkeypatch)
+    walks = []
+    walk = solver._dp_walk
+
+    def spy_walk(obj, agent, go, walk_tables, order, gu=None, gaps=None):
+        walks.append(gaps)
+        return walk(obj, agent, go, walk_tables, order, gu, gaps)
+
+    monkeypatch.setattr(solver, "_dp_walk", spy_walk)
+    calls = [
+        (lambda: pp.agency_metrics(inst, 0.5, strategy="subset_dp"), 1),
+        (lambda: metrics.noise_sweep(inst, [0.0, 0.5, 1.0], strategy="subset_dp"), 1),
+        (lambda: metrics.refine_compare(inst, refined, strategy="subset_dp"), 2),
+    ]
+    for call, passes in calls:
+        rows.clear()
+        call()
+        assert len(rows) == passes
+    assert walks and all(gaps is None for gaps in walks)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pushpull as pp
 from pushpull import solver
+from pushpull.inference import expected_scores, prior_posterior
 from pushpull.solver import brute_force_oracle, combined_scores
 
 from helpers import block_major_contribs, e1_instance, make_instance, random_discount, random_partition
@@ -711,6 +712,30 @@ def test_solve_grid_matches_single_solves_bitwise(strategy):
         assert g.objective == s.objective
         assert g.allocation.object_order == s.allocation.object_order
         assert g.tie_broken == s.tie_broken
+
+
+@pytest.mark.parametrize("strategy", [s for s in pp.STRATEGIES if s != "auto"])
+def test_grid_results_share_one_allocation_per_run_and_equal_per_lambda_results(strategy):
+    # A run of equal consecutive orders shares one allocation and its two
+    # values; each result still equals _result_for at its own lambda, bit
+    # for bit.
+    spec = GRID_SPECS.get(
+        strategy, pp.ScenarioSpec(kind="anti_aligned", seed=17, objects=9, blocks=4, types=2, signals=2)
+    )
+    inst = pp.generate(spec)
+    lams = pp.lambda_grid(0.0, 1.0, 41)
+    grid = pp.solve_grid(inst, lams, strategy=strategy)
+    assert len({g.allocation.block_order for g in grid}) < len(lams)
+    belief = prior_posterior(inst.type_space)
+    u_bar, v_bar = (expected_scores(inst, belief, side) for side in ("agent", "advocate"))
+    for prev, g in zip((None, *grid), grid):
+        want = solver._result_for(inst, u_bar, v_bar, g.lam, g.allocation.block_order, strategy, g.tie_broken)
+        assert g == want
+        assert [x.hex() for x in (g.objective, g.agent_value, g.advocate_value)] == [
+            x.hex() for x in (want.objective, want.agent_value, want.advocate_value)
+        ]
+        if prev is not None:
+            assert (g.allocation is prev.allocation) == (g.allocation == prev.allocation)
 
 
 def test_solve_grid_refuses_subset_dp_above_limit():
