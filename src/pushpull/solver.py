@@ -68,12 +68,6 @@ TIE_TOL = 1e-12
 DP_SUBSET_LIMIT = 20
 BRUTE_FORCE_LIMIT = 8
 
-# Cap on block orders * objects, the index cells of brute force's table of
-# object orders: 128 MB of them, 8 blocks of up to 416 objects or 7 of up to
-# 3328. A solve at the cap peaks near 300 MB, the table and one gather of
-# scores through it.
-_BRUTE_FORCE_CELLS = 1 << 24
-
 # Cap on the (M + 1) * K cells of each of local search's four block tables
 # (agent, advocate, objective and a buffer): 128 MB apiece at the cap.
 _LOCAL_SEARCH_CELLS = 1 << 24
@@ -223,25 +217,23 @@ def _block_contribs(partition: Partition, scores, weights: np.ndarray) -> np.nda
 
 
 class _Plan(NamedTuple):
-    """The subset-DP index plan of n consecutive blocks of a K-block layout.
+    """The subset-DP index plan of the first n blocks of a K-block layout.
 
-    Bit c of a plan subset is block first + c of the layout. offsets[S] is
-    the summed length of the blocks in S, and levels[L] lists the subsets
-    of L blocks in ascending order. steps[L] holds (at, nxt) for all of
-    level L, candidate-major: for the c-th block absent from levels[L][j],
-    at[c, j] is its row off * K + b of the block tables when placed at
-    off = offsets[levels[L][j]], and nxt[c, j] the subset after placing it.
+    Bit b of a plan subset is block b. offsets[S] is the summed length of
+    the blocks in S, and levels[L] lists the subsets of L blocks in
+    ascending order. steps[L] holds (at, nxt) for all of level L,
+    candidate-major: for the c-th block b absent from levels[L][j], at[c, j]
+    is its row off * K + b of the block tables when placed at off =
+    offsets[levels[L][j]], and nxt[c, j] the subset after placing it.
 
-    key is (lengths, K, first). A plan with a limit was asked for the
-    subsets whose offset lies below it; when some subset's offset does not,
-    the plan is cut: its levels and steps keep only the subsets below, and
-    it is memoized under key and limit.
+    A plan with a limit was asked for the subsets whose offset lies below
+    it; when some subset's offset does not, the plan is cut: its levels and
+    steps keep only the subsets below.
     """
 
     offsets: np.ndarray
     levels: list[np.ndarray]
     steps: list[tuple[np.ndarray, np.ndarray]]
-    key: tuple = ()
     limit: int | None = None
 
     @property
@@ -250,15 +242,13 @@ class _Plan(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """The subsets of one high level that share their high offset off.
+    """The high subsets of one block count that share their high offset off.
 
     base is off * K, the row of the block tables from which the run's low
     plan reads. plan is the low plan cut to what off leaves of the horizon;
     whole picks the subsets of a block that it solves, all of them or those
-    of a cut plan, and scaled holds their low offsets * K. For the j-th high
-    subset blocks[j] of the run and its c-th absent high block, starts[j][c]
-    is that block's row when placed at off, and nxt[j][c] the high subset
-    after placing it. The top level places nothing and has neither.
+    of a cut plan, and scaled holds their low offsets * K. blocks lists the
+    run's high subsets in ascending order.
     """
 
     base: int
@@ -266,8 +256,6 @@ class _Run(NamedTuple):
     whole: slice | np.ndarray
     scaled: np.ndarray
     blocks: list[int]
-    starts: list[list[int]] | None
-    nxt: list[list[int]] | None
 
 
 class _Subsets(NamedTuple):
@@ -276,29 +264,28 @@ class _Subsets(NamedTuple):
     The first h blocks are the low bits of a subset, the rest its high
     bits. The subsets that share their high bits H fill one block of 2**h
     rows of the value table, rows H << h on. A layout of h or fewer blocks
-    is a single block: its high plan has no blocks. Under a horizon both
-    plans carry it as their limit and are cut to it.
+    is a single block, high subset 0. Under a horizon the low plan carries
+    it as its limit and is cut to it.
 
-    k is K and horizon the walk's: P, or M without a cut. runs[L] holds the
-    runs of high level L.
+    horizon is the walk's: P, or M without a cut. runs holds the runs of
+    the high subsets whose offset lies below it, most blocks first.
     """
 
     low: _Plan
-    high: _Plan
-    k: int
+    lengths: tuple[int, ...]
     horizon: int
-    runs: list[list[_Run]]
+    runs: list[_Run]
 
 
 class _Memo:
     """Read-only tables shared across calls, least recently used first out.
 
     Holds at most limit bytes. Its values depend on neither cell budget:
-    plans are keyed by their block lengths, K and first block, and cut
-    plans by those and their limit. An entry counts sys.getsizeof of its
-    value and of every list, tuple and array in it; an array that owns its
-    data, as every memoized one does, counts that data too. A lock keeps
-    its bookkeeping whole when threads solve at once.
+    plans are keyed by their block lengths and K, and cut plans by those
+    and their limit. An entry counts sys.getsizeof of its value and of
+    every list, tuple and array in it; an array that owns its data, as
+    every memoized one does, counts that data too. A lock keeps its
+    bookkeeping whole when threads solve at once.
     """
 
     def __init__(self, limit: int):
@@ -346,11 +333,11 @@ def _nodes(value):
 _memo = _Memo(8 << 20)
 
 
-def _plan(lengths, k: int, first: int, limit: int | None = None) -> _Plan:
-    """The plan of blocks first, first + 1, ... of a K-block layout, whose
-    lengths are lengths, for the subsets whose offset lies below limit. The
-    absent blocks of a subset are the zero bits of its row of the bit table."""
-    key = (tuple(lengths), k, first)
+def _plan(lengths, k: int, limit: int | None = None) -> _Plan:
+    """The plan of the first blocks of a K-block layout, whose lengths are
+    lengths, for the subsets whose offset lies below limit. The absent
+    blocks of a subset are the zero bits of its row of the bit table."""
+    key = (tuple(lengths), k)
     cut = limit is not None and limit <= sum(key[0])
 
     def build():
@@ -366,10 +353,10 @@ def _plan(lengths, k: int, first: int, limit: int | None = None) -> _Plan:
             levels.append(sel)
             if level < n:
                 absent = np.nonzero(bits[sel] == 0)[1].reshape(len(sel), n - level).T.copy()
-                steps.append((offsets[sel] * k + first + absent, sel | 1 << absent))
+                steps.append((offsets[sel] * k + absent, sel | 1 << absent))
         return offsets, levels, steps
 
-    return _Plan(*_memo.get((*key, limit) if cut else key, build), key, limit)
+    return _Plan(*_memo.get((*key, limit) if cut else key, build), limit)
 
 
 def _horizon(weights: np.ndarray) -> int | None:
@@ -409,26 +396,23 @@ def _subset_tables(lengths, rows: int, horizon: int | None = None) -> _Subsets:
     built in a pass sits above them on the heap and keeps their memory from
     the system (peak RSS of frontier_exact 59 -> 65 MB).
     """
+    lengths = tuple(lengths)
     k = len(lengths)
     h = _low_width(lengths, rows, horizon)
-    low = _plan(lengths[:h], k, 0, horizon)
-    high = _plan(lengths[h:], k, h, horizon)
+    low = _plan(lengths[:h], k, horizon)
     scaled = low.offsets * k
+    # The high subsets, most blocks first, grouped by block count and offset.
+    parts: dict[tuple[int, int], list[int]] = {}
+    for high in sorted(range(1 << (k - h)), key=int.bit_count, reverse=True):
+        off = sum(length for c, length in enumerate(lengths[h:]) if high >> c & 1)
+        if horizon is None or off < horizon:
+            parts.setdefault((high.bit_count(), off), []).append(high)
     runs = []
-    for level, sel in enumerate(high.levels):
-        parts: dict[int, list[int]] = {}
-        for j, off in enumerate(high.offsets[sel].tolist()):
-            parts.setdefault(off, []).append(j)
-        level_runs = []
-        for off, part in parts.items():
-            plan = low if horizon is None else _plan(*low.key, horizon - off)
-            whole = np.concatenate(plan.levels) if plan.cut else slice(None)
-            starts = nxt = None
-            if level < len(high.steps):
-                starts, nxt = (index[:, part].T.tolist() for index in high.steps[level])
-            level_runs.append(_Run(off * k, plan, whole, scaled[whole], sel[part].tolist(), starts, nxt))
-        runs.append(level_runs)
-    return _Subsets(low, high, k, sum(lengths) if horizon is None else horizon, runs)
+    for (_, off), blocks in parts.items():
+        plan = low if horizon is None else _plan(lengths[:h], k, horizon - off)
+        whole = np.concatenate(plan.levels) if plan.cut else slice(None)
+        runs.append(_Run(off * k, plan, whole, scaled[whole], blocks))
+    return _Subsets(low, lengths, sum(lengths) if horizon is None else horizon, runs)
 
 
 def _dp_steps(tables: _Subsets, *pairs):
@@ -444,54 +428,56 @@ def _dp_steps(tables: _Subsets, *pairs):
     sel, plus contrib at that block's row. merge says that the best joins
     what t[sel] already holds.
 
-    High levels run from the top, one block at a time. A block below the
-    top level first takes its whole-block step, which places its absent
-    high blocks: sel is the whole block, the gather of contrib for the
-    c-th reads from row starts[j][c] at the low offsets * K, and the blocks
-    of a run share those gathers. Then the block runs its low plan, levels
-    from the top, on the plan's own at and nxt: they index t and contrib
-    from the run's base on, and the best merges with what the whole-block
-    step left. The top block and a single block place no high block and
-    never merge. Every values row a step reads is final before it.
+    The runs go most high blocks first, one block at a time. A block below
+    the top first takes its whole-block step, which places its absent high
+    blocks, the zero bits of its high subset: sel is the whole block, the
+    gather of contrib for high block b reads from row base + b at the low
+    offsets * K, and the blocks of a run share those gathers. Then the block
+    runs its low plan, levels from the top, on the plan's own at and nxt:
+    they index t and contrib from the run's base on, and the best merges
+    with what the whole-block step left. The top block and a single block
+    place no high block and never merge. Every values row a step reads is
+    final before it.
 
     Under a horizon P only the subsets that fill fewer than P positions are
-    solved: the high plan holds only the blocks whose high offset is below
-    P, each block runs the low plan cut to what its offset leaves of P, and
-    a cut block's whole-block step solves the subsets of that plan alone.
+    solved: the runs hold only the blocks whose high offset is below P,
+    each block runs the low plan cut to what its offset leaves of P, and a
+    cut block's whole-block step solves the subsets of that plan alone.
     Every other subset keeps the 0.0 that the tables start from, which is
     its value: every weight it could still reach is 0.
     """
+    k = len(tables.lengths)
     h = len(tables.low.levels) - 1
-    top = len(tables.high.levels) - 1
+    top = (1 << (k - h)) - 1
     blocks = [values.reshape(-1, 1 << h, values.shape[1]) for _, values in pairs]
-    for level in range(top, -1, -1):
-        merge = level < top
-        for run in tables.runs[level]:
-            views = [[t[block] for t in blocks] for block in run.blocks]
-            if merge:
-                whole = run.whole
-                gathers = {}
-                for j, (starts, nxt) in enumerate(zip(run.starts, run.nxt)):
-                    sums = []
-                    for p, ((contrib, _), t) in enumerate(zip(pairs, blocks)):
-                        cand = np.empty((len(nxt), len(run.scaled), t.shape[2]))
-                        for c, (start, block) in enumerate(zip(starts, nxt)):
-                            gathered = gathers.get((p, start))
-                            if gathered is None:
-                                gathered = gathers[p, start] = contrib[start:].take(run.scaled, axis=0)
-                            np.add(t[block, whole], gathered, out=cand[c])
-                        sums.append(cand)
-                    yield views[j], whole, sums, False
-                del gathers
-            for sel, (at, nxt) in zip(run.plan.levels[h - 1 :: -1], run.plan.steps[::-1]):
-                if not len(sel):
-                    continue
-                gathered = [contrib[run.base :].take(at, axis=0) for contrib, _ in pairs]
-                for block_views in views:
-                    sums = [view.take(nxt, axis=0) for view in block_views]
-                    for cand, add in zip(sums, gathered):
-                        cand += add
-                    yield block_views, sel, sums, merge
+    for run in tables.runs:
+        views = [[t[high] for t in blocks] for high in run.blocks]
+        merge = run.blocks[0] != top
+        if merge:
+            whole = run.whole
+            gathers = {}
+            for high, block_views in zip(run.blocks, views):
+                absent = [b for b in range(h, k) if not high >> (b - h) & 1]
+                sums = []
+                for p, ((contrib, _), t) in enumerate(zip(pairs, blocks)):
+                    cand = np.empty((len(absent), len(run.scaled), t.shape[2]))
+                    for c, b in enumerate(absent):
+                        gathered = gathers.get((p, b))
+                        if gathered is None:
+                            gathered = gathers[p, b] = contrib[run.base + b :].take(run.scaled, axis=0)
+                        np.add(t[high | 1 << (b - h), whole], gathered, out=cand[c])
+                    sums.append(cand)
+                yield block_views, whole, sums, False
+            del gathers
+        for sel, (at, nxt) in zip(run.plan.levels[h - 1 :: -1], run.plan.steps[::-1]):
+            if not len(sel):
+                continue
+            gathered = [contrib[run.base :].take(at, axis=0) for contrib, _ in pairs]
+            for block_views in views:
+                sums = [view.take(nxt, axis=0) for view in block_views]
+                for cand, add in zip(sums, gathered):
+                    cand += add
+                yield block_views, sel, sums, merge
 
 
 def _best(cand: np.ndarray) -> np.ndarray:
@@ -509,7 +495,7 @@ def _dp_value_to_go(contrib: np.ndarray, tables: _Subsets) -> np.ndarray:
     block table of objective row r in column r. Each step takes the max over
     a set of absent blocks at once; max is exact, so their order is moot.
     """
-    go = np.zeros((1 << tables.k, contrib.shape[1]))
+    go = np.zeros((1 << len(tables.lengths), contrib.shape[1]))
     for (table,), sel, (cand,), merge in _dp_steps(tables, (contrib, go)):
         best = _best(cand)
         if merge:
@@ -544,10 +530,10 @@ def _dp_walk(obj, agent, go, walk, order, gu=None, gaps=None):
 
     obj and agent are the row's objective and agent block tables as lists,
     entry off * K + b, and go and gu its value and agent tables. walk is
-    (low, high, h, K, P): lists whose low[S & (2**h - 1)] + high[S >> h] is
-    the summed length of the blocks in S, and the horizon P, from which on
-    the remaining blocks follow in ascending order. order is the block
-    order walked so far; the walk extends it in place and returns the tie
+    (lengths, P): the block lengths, whose sum over the blocks placed so
+    far is the offset of the next, and the horizon P, from which on the
+    remaining blocks follow in ascending order. order is the block order
+    walked so far; the walk extends it in place and returns the tie
     flag. Without gu the walk returns None at its first tie before P, so a
     row without one never needs the agent pass. order then holds the
     choices before that tie, which a walk with gu makes too, so that walk
@@ -555,17 +541,17 @@ def _dp_walk(obj, agent, go, walk, order, gu=None, gaps=None):
     step before P that leaves a choice: the chosen block's value less the
     best other block's.
     """
-    low, high, h, k, horizon = walk
+    lengths, horizon = walk
+    k = len(lengths)
     full = (1 << k) - 1
-    mask = (1 << h) - 1
     tol = _tol(go.item(0))
     value = go.item
     if gu is not None:
         agent_value = gu.item
     state = sum(1 << b for b in order)
+    off = sum(lengths[b] for b in order)
     tie = False
     while state != full:
-        off = low[state & mask] + high[state >> h]
         if off >= horizon:
             rest = [i for i in range(k) if not (state >> i) & 1]
             order += rest
@@ -597,6 +583,7 @@ def _dp_walk(obj, agent, go, walk, order, gu=None, gaps=None):
                 gaps.append(obj[base + choice] + value(state | (1 << choice)) - max(rivals))
         order.append(choice)
         state |= 1 << choice
+        off += lengths[choice]
     return tie
 
 
@@ -611,12 +598,11 @@ def _dp_orders(tables: _Subsets, contrib_obj, contrib_agent, margins: bool = Fal
     and -inf for a row that tied before P.
     """
     go = _dp_value_to_go(contrib_obj, tables)
-    low, high = tables.low, tables.high
-    walk = low.offsets.tolist(), high.offsets.tolist(), len(low.levels) - 1, tables.k, tables.horizon
+    walk = tables.lengths, tables.horizon
     # The walk reads no offset past its horizon. A row's list lives for one
     # walk: tied rows' lists kept through the agent pass pinned the heap
     # above its tables more often and raised the peak RSS of frontier_exact.
-    read = tables.horizon * tables.k
+    read = tables.horizon * len(tables.lengths)
     rows = range(contrib_obj.shape[1])
     orders = [[] for _ in rows]
     gaps = [[] if margins else None for _ in rows]
@@ -753,42 +739,49 @@ def _order_local_search(partition: Partition, contrib_obj, contrib_agent, bound,
 
 
 def _brute_tables(partition: Partition):
-    """Every block order in lexicographic order, and the object order of
-    each, one row per order.
+    """Every block order in lexicographic order, one column per order, and
+    the entry b * (M + 1) + off of each of its blocks b, where off is the
+    summed length of the blocks before it.
 
     Only the partition shapes them, so one build serves every lambda.
     """
-    perms = np.zeros((1, 0), dtype=np.intp)
+    perms = np.zeros((0, 1), dtype=np.intp)
     for n in range(1, partition.block_count + 1):
         # The orders of n blocks: each first block f in turn, then every
         # order of n - 1 blocks with the values at or above f shifted up.
-        first = np.repeat(np.arange(n, dtype=np.intp), len(perms))
-        rest = np.tile(perms, (n, 1))
-        rest += rest >= first[:, None]
-        perms = np.column_stack((first, rest))
-    lengths = np.array(partition.block_lengths(), dtype=np.intp)
-    objs = np.array([obj for block in partition.blocks for obj in block], dtype=np.intp)
-    seq = perms.ravel()
-    run = lengths[seq]
-    # Along the concatenated orders, place i inside the run of block b holds
-    # objs[starts[b] + i - (the place where that run begins)].
-    starts = np.cumsum(lengths) - lengths
-    at = np.repeat(starts[seq] - (np.cumsum(run) - run), run)
-    at += np.arange(len(at))
-    return perms, objs[at].reshape(len(perms), partition.size)
+        first = np.repeat(np.arange(n, dtype=np.intp), perms.shape[1])
+        rest = np.tile(perms, n)
+        rest += rest >= first
+        perms = np.vstack((first, rest))
+    run = np.array(partition.block_lengths(), dtype=np.intp)[perms]
+    return perms, perms * (partition.size + 1) + np.cumsum(run, axis=0) - run
 
 
-def _order_brute(tables, weights: np.ndarray, scores, agent):
-    perms, orders = tables
-    values = np.asarray(scores, dtype=float)[orders] @ weights
-    tied = np.nonzero(_near_best(values))[0]
+def _brute_values(partition: Partition, weights: np.ndarray, scores) -> np.ndarray:
+    """Block values, entry b * (M + 1) + off of a flat K x (M + 1) table:
+    block b's scores against the window of the weights that it covers from
+    off on. Past a block's last start its entries stay 0. Built here, not
+    by _block_contribs, so that the oracle shares no table with the
+    strategies it checks."""
+    m = partition.size
+    table = np.zeros((partition.block_count, m + 1))
+    for b, block in enumerate(partition.blocks):
+        table[b, : m - len(block) + 1] = np.correlate(weights, scores[list(block)], mode="valid")
+    return table.ravel()
+
+
+def _order_brute(tables, values, agent):
+    """The order of tables (_brute_tables) that the contract picks, each
+    order scored by the sum of the block values at its starts, and the
+    tied ones by the sum of the agent's block values there."""
+    perms, starts = tables
+    tied = np.nonzero(_near_best(values[starts].sum(axis=0)))[0]
     tie = tied.size > 1
     if tie:
-        agent_vals = np.asarray(agent, dtype=float)[orders[tied]] @ weights
-        tied = tied[_near_best(agent_vals)]
-    # The rows run in lexicographic order, so the first survivor is the
+        tied = tied[_near_best(agent[starts[:, tied]].sum(axis=0))]
+    # The columns run in lexicographic order, so the first survivor is the
     # lexicographically smallest block order.
-    return tuple(perms[int(tied[0])].tolist()), tie
+    return tuple(perms[:, int(tied[0])].tolist()), tie
 
 
 def brute_force_oracle(partition: Partition, scores, discount: DiscountCurve, *, agent_scores=None) -> Allocation:
@@ -802,7 +795,8 @@ def brute_force_oracle(partition: Partition, scores, discount: DiscountCurve, *,
     agent = np.zeros(s.size) if agent_scores is None else _checked_scores(
         agent_scores, s.size, "agent_scores"
     )
-    order, _ = _order_brute(_brute_tables(partition), discount.weights, s, agent)
+    values, agent_values = (_brute_values(partition, discount.weights, side) for side in (s, agent))
+    order, _ = _order_brute(_brute_tables(partition), values, agent_values)
     return build_allocation(partition, order)
 
 
@@ -840,9 +834,6 @@ def _refuse_brute_force(partition: Partition, discount: DiscountCurve) -> str | 
             f"brute force refuses partitions with more than {BRUTE_FORCE_LIMIT} blocks"
             f" (got {partition.block_count})"
         )
-    cells = math.factorial(partition.block_count) * partition.size
-    if cells > _BRUTE_FORCE_CELLS:
-        return f"brute force: block orders x objects ({cells}) exceed the limit {_BRUTE_FORCE_CELLS}"
     return None
 
 
@@ -930,13 +921,16 @@ def _local_search_orders(instance, beliefs):
 
 
 def _brute_force_orders(instance, beliefs):
-    tables = _brute_tables(instance.partition)
+    partition = instance.partition
+    tables = _brute_tables(partition)
     weights = instance.discount.weights
-    return [
-        _order_brute(tables, weights, combined_scores(lam, u_bar, v_bar), u_bar)
-        for u_bar, v_bar, lams in beliefs
-        for lam in lams
-    ]
+    out = []
+    for u_bar, v_bar, lams in beliefs:
+        # Block values are linear in the scores, so a lambda mixes the
+        # agent's and the advocate's values as combined_scores mixes scores.
+        agent, advocate = (_brute_values(partition, weights, side) for side in (u_bar, v_bar))
+        out += [_order_brute(tables, lam * agent + (1.0 - lam) * advocate, agent) for lam in lams]
+    return out
 
 
 def _dp_pass(instance, contribs, rows, margins: bool = False):

@@ -459,21 +459,15 @@ def test_validate_oracle_builds_the_block_order_tables_once_per_file(runner, e1_
     assert builds == [3, 3]
 
 
-def test_validate_skips_the_oracle_past_the_brute_force_table_cap(runner, tmp_path, monkeypatch):
-    # 8! block orders x 3000 objects is 121M index cells, far past the cap,
-    # so the file is checked without building the brute-force table.
+def test_validate_checks_the_oracle_on_eight_blocks_of_three_thousand_objects(runner, tmp_path):
+    # Brute force accepts every instance of at most 8 blocks, whatever its size.
     doc = runner.invoke(main, ["gen", "--kind", "random", "--seed", "1", "-M", "3000", "-K", "8"])
     path = tmp_path / "big.json"
     path.write_text(doc.stdout)
-
-    def unreachable(partition):
-        raise AssertionError("the brute-force table was built past its cap")
-
-    monkeypatch.setattr(solver, "_brute_tables", unreachable)
     out = runner.invoke(main, ["validate", str(path)])
     assert out.exit_code == 0, out.output
     [record] = json.loads(out.stdout)["report"]["files"]
-    assert record["ok"] and record["oracle_checked"] is False
+    assert record["ok"] and record["oracle_checked"] is True
 
 
 @pytest.mark.parametrize("command", ["frontier", "refine-compare"])

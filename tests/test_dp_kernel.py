@@ -3,12 +3,15 @@
 The reference below is that recursion as it stood: one step per (level,
 block), each filtering the level's subsets that lack the block. The kernel
 under test splits each subset into low and high bits, with a low width h
-that depends on the rows of a chunk. One high block at a time, it places
-the absent high blocks of the whole block at once, then runs the low
+that depends on the rows of a chunk. It takes the high subsets as plain
+integers, most blocks first, in runs that share their block count and high
+offset. One high block at a time, it places the absent high blocks, the
+zero bits of the high subset, of the whole block at once, then runs the low
 blocks' plan inside it, so its value and agent tables must equal the
-reference bit for bit at every width. The plans come from a memo shared
+reference bit for bit at every width. The low plans come from a memo shared
 across calls, so the tables are checked on a cold memo and again on a
-warm one.
+warm one, and from threads that share it. The walk counts its own offset
+from the block lengths as it places blocks.
 Under a discount horizon P the kernel solves only the subsets that fill
 fewer than P positions; every other subset must hold the +0.0 that the
 reference computes there.
@@ -21,6 +24,7 @@ single solves bit for bit, and the tests count the rows each round solves.
 import dataclasses
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -165,7 +169,7 @@ def _check_tables(inst, lams):
 def _low_key(lengths, rows):
     """The memo key of the low plan of a layout solved in chunks of rows
     rows: its first h lengths and K."""
-    return tuple(lengths[: solver._low_width(lengths, rows)]), len(lengths), 0
+    return tuple(lengths[: solver._low_width(lengths, rows)]), len(lengths)
 
 
 def _width(lengths, rows, horizon=None):
@@ -216,9 +220,8 @@ def test_block_contribs_are_the_transpose_of_the_block_major_build(layout):
 
 
 def test_every_plan_matches_the_reference_subsets_offsets_and_steps():
-    # Every block count a plan can have, both first blocks, every limit
-    # that cuts the plan up to 10 blocks and a few past them, one that does
-    # not, and none; n = 0 is the high plan of a layout of h or fewer blocks.
+    # Every block count a plan can have, every limit that cuts the plan up
+    # to 10 blocks and a few past them, one that does not, and none.
     rng = np.random.default_rng(12)
     h = solver._DP_LOW_MAX
     k = 2 * h
@@ -228,28 +231,56 @@ def test_every_plan_matches_the_reference_subsets_offsets_and_steps():
         total = sum(lengths)
         offsets, levels = _reference_offsets(lengths), _reference_levels(n)
         limits = range(1, total + 2) if n <= 10 else (1, 2, total // 2, total, total + 1)
-        for first in (0, h):
-            uncut = solver._plan(lengths, k, first)
-            for limit in (*limits, None):
-                plan = solver._plan(lengths, k, first, limit)
-                assert plan.cut == (limit is not None and limit <= total)
-                assert (plan.levels is uncut.levels) == (not plan.cut)
-                assert plan.offsets.tolist() == offsets.tolist()
-                kept = [sel[offsets[sel] < (total + 1 if limit is None else limit)] for sel in levels]
-                assert [sel.tolist() for sel in plan.levels] == [sel.tolist() for sel in kept]
-                assert len(plan.steps) == n
-                for level, (sel, (at, nxt)) in enumerate(zip(kept, plan.steps)):
-                    # Candidate-major: row c holds the c-th absent block of every subset.
-                    assert at.shape == nxt.shape == (n - level, len(sel))
-                    absent = [[c for c in range(n) if not s >> c & 1] for s in sel.tolist()]
-                    assert at.T.tolist() == [
-                        [offsets[s] * k + first + c for c in cs] for s, cs in zip(sel.tolist(), absent)
-                    ]
-                    assert nxt.T.tolist() == [[s | 1 << c for c in cs] for s, cs in zip(sel.tolist(), absent)]
-                if first == 0:
-                    high = solver._subset_tables(lengths, 1, limit).high
-                    assert high.offsets.tolist() == [0]
-                    assert [sel.tolist() for sel in high.levels] == [[0]] and high.steps == []
+        uncut = solver._plan(lengths, k)
+        for limit in (*limits, None):
+            plan = solver._plan(lengths, k, limit)
+            assert plan.cut == (limit is not None and limit <= total)
+            assert (plan.levels is uncut.levels) == (not plan.cut)
+            assert plan.offsets.tolist() == offsets.tolist()
+            kept = [sel[offsets[sel] < (total + 1 if limit is None else limit)] for sel in levels]
+            assert [sel.tolist() for sel in plan.levels] == [sel.tolist() for sel in kept]
+            assert len(plan.steps) == n
+            for level, (sel, (at, nxt)) in enumerate(zip(kept, plan.steps)):
+                # Candidate-major: row c holds the c-th absent block of every subset.
+                assert at.shape == nxt.shape == (n - level, len(sel))
+                absent = [[c for c in range(n) if not s >> c & 1] for s in sel.tolist()]
+                assert at.T.tolist() == [[offsets[s] * k + c for c in cs] for s, cs in zip(sel.tolist(), absent)]
+                assert nxt.T.tolist() == [[s | 1 << c for c in cs] for s, cs in zip(sel.tolist(), absent)]
+
+
+def test_runs_hold_the_high_subsets_below_the_horizon_most_blocks_first():
+    # A width cap of 3 leaves up to 5 high blocks. Each run holds, in
+    # ascending order, the high subsets of one block count and one high
+    # offset below the horizon, with the low plan cut to what that offset
+    # leaves of it; a layout of h or fewer blocks is one run of subset 0.
+    rng = np.random.default_rng(31)
+    with mock.patch.object(solver, "_DP_LOW_MAX", 3):
+        for k in range(1, 9):
+            lengths = rng.integers(1, 4, k).tolist()
+            total = sum(lengths)
+            h = min(k, 3)
+            high_offsets = _reference_offsets(lengths[h:]).tolist()
+            for horizon in (*range(1, total + 1), None):
+                tables = solver._subset_tables(lengths, 1, horizon)
+                assert len(tables.low.levels) - 1 == h
+                assert tables.lengths == tuple(lengths)
+                assert tables.horizon == (total if horizon is None else horizon)
+                want = {}
+                for count in range(k - h, -1, -1):
+                    for high, off in enumerate(high_offsets):
+                        if high.bit_count() == count and (horizon is None or off < horizon):
+                            want.setdefault((count, off), []).append(high)
+                assert [(run.base, run.blocks) for run in tables.runs] == [
+                    (off * k, blocks) for (_, off), blocks in want.items()
+                ]
+                for run in tables.runs:
+                    limit = None if horizon is None else horizon - run.base // k
+                    plan = solver._plan(lengths[:h], k, limit)
+                    assert all(a is b for a, b in zip(_plan_arrays(run.plan), _plan_arrays(plan), strict=True))
+                    whole = np.concatenate(plan.levels) if plan.cut else np.arange(1 << h)
+                    assert run.scaled.tolist() == (tables.low.offsets[whole] * k).tolist()
+            if k <= h:
+                assert [run.blocks for run in solver._subset_tables(lengths, 1).runs] == [[0]]
 
 
 BLOCK_CELLS = st.sampled_from((1, 7, 64, 512, 4096, solver._DP_BLOCK_CELLS))
@@ -282,7 +313,7 @@ def test_value_and_agent_tables_match_the_per_block_recursion(inst, cold, warm, 
     if widths[0] == widths[1]:
         assert all(
             a is b
-            for a, b in zip(_plan_arrays(reused.low, reused.high), _plan_arrays(built.low, built.high), strict=True)
+            for a, b in zip(_plan_arrays(reused.low), _plan_arrays(built.low), strict=True)
         )
 
 
@@ -351,7 +382,7 @@ def test_a_layout_past_the_low_width_reuses_the_plan_of_its_first_blocks():
     first = _check_tables(_layout_instance(head + [2, 1, 3], 1), [0.0, 0.5, 1.0])
     again = _check_tables(_layout_instance(head + [1, 3, 2], 2), [0.25] * 4)
     assert all(a is b for a, b in zip(_plan_arrays(again.low), _plan_arrays(first.low), strict=True))
-    assert again.high.steps is not first.high.steps
+    assert [(run.base, run.blocks) for run in again.runs] != [(run.base, run.blocks) for run in first.runs]
     # Nothing in the memo is wider than h blocks.
     assert all(
         (key if isinstance(key, int) else len(key[0])) <= h for key in solver._memo.entries
@@ -359,9 +390,9 @@ def test_a_layout_past_the_low_width_reuses_the_plan_of_its_first_blocks():
 
 
 def test_memoized_arrays_are_read_only():
-    for lengths in ((2, 1, 3), tuple(1 + i % 4 for i in range(14))):
-        tables = solver._subset_tables(lengths, 1)
-        for array in _plan_arrays(tables.low, tables.high):
+    for lengths, horizon in (((2, 1, 3), None), (tuple(1 + i % 4 for i in range(14)), None), ((2, 1, 3), 4)):
+        tables = solver._subset_tables(lengths, 1, horizon)
+        for array in _plan_arrays(tables.low, *(run.plan for run in tables.runs)):
             with pytest.raises(ValueError):
                 array[...] = 0
 
@@ -401,6 +432,39 @@ def test_memo_stays_within_its_byte_bound_and_evicts_least_recently_used():
     for key in ("a", "b", "a", "c"):
         memo.get(key, table.copy)
     assert list(memo.entries) == ["a", "c"]
+
+
+def test_threads_that_share_the_memo_solve_as_serial_solves_do():
+    # Distinct dense and cutoff layouts of 14 to 16 blocks, solved from a
+    # cleared memo by four threads that switch every microsecond, each
+    # layout by two of them at once. Each solve gets the orders and tie
+    # flags of a serial one, and the memo's byte count equals a recount of
+    # what it holds: without the lock, both threads of a layout miss, build
+    # and count its plans, and the count runs past the recount.
+    rng = np.random.default_rng(40)
+    cases = []
+    for k in (14, 15, 16):
+        for discount in ("dcg", "cutoff"):
+            lengths = rng.integers(1, 4, k).tolist()
+            cases.append(_layout_instance(lengths, len(cases), discount))
+    lams = [0.0, 0.3, 0.7, 1.0]
+
+    def orders(inst):
+        return [(r.allocation.block_order, r.tie_broken) for r in pp.solve_grid(inst, lams, strategy="subset_dp")]
+
+    solver._memo.clear()
+    want = [orders(inst) for inst in cases]
+    solver._memo.clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(orders, [inst for inst in cases for _ in range(2)], timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [order for order in want for _ in range(2)]
+    held = sum(_held_bytes(value) for value, _ in solver._memo.entries.values())
+    assert held == solver._memo.nbytes <= 8 << 20
 
 
 def test_a_twenty_block_solve_allocates_its_value_table_and_at_most_four_mib_more():
@@ -447,7 +511,7 @@ def test_metrics_at_the_block_limit_hold_one_row_of_value_to_go(monkeypatch):
     value_to_go = solver._dp_value_to_go
 
     def spy(contrib, tables):
-        cells.append(contrib.shape[1] << tables.k)
+        cells.append(contrib.shape[1] << len(tables.lengths))
         return value_to_go(contrib, tables)
 
     monkeypatch.setattr(solver, "_dp_value_to_go", spy)
@@ -470,8 +534,7 @@ def test_a_tied_row_resumes_its_walk_where_the_first_walk_stopped(inst, lams):
     go = solver._dp_value_to_go(obj, tables)
     tol = np.array([solver._tol(value) for value in go[0]])
     gu = solver._dp_agent_to_go(obj, agent, go, tables, tol)
-    low, high = tables.low, tables.high
-    walk = low.offsets.tolist(), high.offsets.tolist(), len(low.levels) - 1, tables.k, tables.horizon
+    walk = tables.lengths, tables.horizon
     for r in range(len(lams)):
         order = []
         tie = solver._dp_walk(obj[:, r].tolist(), agent[:, 0].tolist(), go[:, r], walk, order, gu[:, r])

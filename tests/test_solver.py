@@ -514,19 +514,24 @@ def test_brute_force_refuses_large_k():
         brute_force_oracle(part, list(range(m)), d)
 
 
-def test_brute_force_refuses_a_table_past_its_cell_cap(monkeypatch):
-    # 8! orders x 416 objects fit under 2**24 index cells; 8! x 417 do not,
-    # and are refused before any table is built.
-    def unreachable(partition):
-        raise AssertionError("the brute-force table was built past its cap")
-
-    monkeypatch.setattr(solver, "_brute_tables", unreachable)
-    for m, refused in ((416, False), (417, True)):
-        part = pp.Partition(tuple(tuple(range(b * m // 8, (b + 1) * m // 8)) for b in range(8)))
-        d = pp.make_discount("dcg", m)
-        assert (solver._refuse_brute_force(part, d) is not None) == refused
-    with pytest.raises(pp.SolverContractError, match=r"block orders x objects \(16813440\)"):
-        brute_force_oracle(part, list(range(m)), d)
+def test_brute_force_solves_eight_blocks_of_three_thousand_objects_within_32_mib():
+    # 8! block orders x 3000 objects, which an object-order table would hold
+    # as 121M index cells; the block starts take 8! x 8.
+    spec = pp.ScenarioSpec(kind="random", seed=1, objects=3000, blocks=8, types=2, discount=("dcg", {}))
+    inst = pp.generate(spec)
+    lams = [0.0, 0.5, 1.0]
+    assert solver._refuse_brute_force(inst.partition, inst.discount) is None
+    tracemalloc.start()
+    try:
+        got = pp.solve_grid(inst, lams, strategy="brute_force")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    want = pp.solve_grid(inst, lams, strategy="subset_dp")
+    assert [(r.allocation.block_order, r.tie_broken) for r in got] == [
+        (r.allocation.block_order, r.tie_broken) for r in want
+    ]
 
 
 def test_local_search_refuses_block_tables_past_their_cell_cap(monkeypatch):
@@ -559,17 +564,27 @@ BRUTE_LAYOUTS = (
 
 @pytest.mark.parametrize("lengths", BRUTE_LAYOUTS)
 def test_brute_tables_match_itertools_permutations(lengths):
-    # The reference is the table as itertools builds it, one row per order.
+    # The reference orders are itertools', one row per order, and the
+    # reference value of each is that of its allocation.
     rng = np.random.default_rng(len(lengths))
-    objects = rng.permutation(sum(lengths)).tolist()
+    m = sum(lengths)
+    objects = rng.permutation(m).tolist()
     bounds = np.cumsum((0, *lengths)).tolist()
     part = pp.Partition(tuple(tuple(objects[a:b]) for a, b in zip(bounds, bounds[1:])))
-    want_perms = list(itertools.permutations(range(len(lengths))))
-    want_orders = [[obj for b in perm for obj in part.blocks[b]] for perm in want_perms]
-    perms, orders = solver._brute_tables(part)
-    assert perms.dtype == orders.dtype == np.intp
-    assert [tuple(row) for row in perms.tolist()] == want_perms
-    assert orders.tolist() == want_orders
+    perms, starts = solver._brute_tables(part)
+    assert perms.dtype == starts.dtype == np.intp
+    assert [tuple(column) for column in perms.T.tolist()] == list(itertools.permutations(range(len(lengths))))
+    scores = rng.random(m) * 10
+    curves = (
+        pp.make_discount("dcg", m),
+        pp.make_discount("cutoff", m, cutoff=max(1, m // 2)),
+        pp.make_discount("geometric", m, beta=0.01),
+    )
+    for d in curves:
+        values = solver._brute_values(part, d.weights, scores)[starts].sum(axis=0)
+        for perm, value in zip(perms.T.tolist(), values.tolist()):
+            want = pp.allocation_value(pp.build_allocation(part, perm), scores, d)
+            assert abs(value - want) <= solver._tol(want), (d.kind, perm)
 
 
 def test_solve_e1_lambda_one():
